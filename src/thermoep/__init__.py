@@ -15,7 +15,6 @@ from .core import (
     NudgeStrength,
     ParamVector,
     StateKind,
-    StateVector,
     Temperature,
     check_grad_state,
     check_grad_theta,
@@ -31,7 +30,6 @@ from .estimators import (
     grad_classical_ep,
     grad_contrast_mc,
     grad_covariance_mc,
-    grad_path_integral,
     grad_supervised_mc,
 )
 from .models import (
@@ -92,7 +90,6 @@ __all__ = [
     "SampleBatch",
     "SpinGlassModel",
     "StateKind",
-    "StateVector",
     "SweepResult",
     "Temperature",
     "TrainConfig",
@@ -114,7 +111,6 @@ __all__ = [
     "grad_classical_ep",
     "grad_contrast_mc",
     "grad_covariance_mc",
-    "grad_path_integral",
     "grad_supervised_mc",
     "kl_nudged_free",
     "load_checkpoint",

@@ -34,7 +34,7 @@ from .diagnostics import alignment_sweep
 from .estimators import EstimationError
 from .models import QuadraticEnergyModel, init_layer_params, random_spin_glass
 from .oracle import gibbs_table, run_consistency_suite
-from .rng import derive_seed
+from .rng import INIT_STREAM, derive_seed
 from .sampler import ChainConfig, DivergenceError, Kernel, run_chains
 from .train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -356,9 +356,8 @@ def cmd_sweep(args) -> int:
         hidden = ckpt.layer_sizes[1]
     else:
         hidden = get_int(options, "hidden")
-        theta = init_layer_params(
-            train_ds.dim, hidden, train_ds.n_classes, derive_seed(get_int(options, "seed"), 11)
-        ).values
+        init_seed = derive_seed(get_int(options, "seed"), INIT_STREAM)
+        theta = init_layer_params(train_ds.dim, hidden, train_ds.n_classes, init_seed).values
         print("note: no checkpoint given; sweeping an untrained parameter vector")
 
     from .data import one_hot

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -126,36 +126,8 @@ def _validate_layout(layout: tuple[Segment, ...], dim: int) -> None:
         raise ValueError(f"segments cover [0, {cursor}) but the vector has dim {dim}")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Finite float64 state, tagged continuous or binary.
-
-    Binary states must take values in ``site_values`` (the spin pair
-    (-1, +1) unless a model declares otherwise).
-    """
-
-    values: np.ndarray
-    kind: StateKind
-    site_values: tuple[float, float] = (-1.0, 1.0)
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector contains non-finite entries")
-        if self.kind is StateKind.BINARY:
-            allowed = np.asarray(self.site_values, dtype=np.float64)
-            if not np.all(np.isin(v, allowed)):
-                raise ValueError(f"binary state entries must lie in {tuple(allowed)}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
 def as_array(x) -> np.ndarray:
-    """Unwrap ParamVector / StateVector to a plain float64 array."""
+    """Unwrap a ParamVector to a plain float64 array."""
     values = getattr(x, "values", x)
     return np.asarray(values, dtype=np.float64)
 
@@ -163,10 +135,12 @@ def as_array(x) -> np.ndarray:
 class EnergyModel(ABC):
     """Energy E(theta, s) plus scalar loss l(s) over a common state space.
 
-    Models do not own parameters; theta is passed to every call.  Batched
-    methods take states as rows of an (m, state_dim) array and have
-    generic loop fallbacks, which concrete models override with
-    vectorised versions where it matters.
+    Models do not own parameters; theta is passed to every call.  States
+    are rows of an (m, state_dim) array.  A model implements energy_batch,
+    loss_batch and grad_theta_energy_sum; continuous models also implement
+    grad_state_energy_batch and grad_state_loss_batch.  The single-state
+    methods are views of row s[None, :] that pass theta through untouched
+    (the oracle evaluates them at long-double theta).
     """
 
     param_dim: int
@@ -174,58 +148,46 @@ class EnergyModel(ABC):
     state_kind: StateKind
     site_values: tuple[float, float] = (-1.0, 1.0)
 
-    # ------------------------------------------------------------------
-    # scalar interface
-    # ------------------------------------------------------------------
+    # -- batched interface: rows of an (m, state_dim) array ---------------
 
     @abstractmethod
-    def energy(self, theta: np.ndarray, s: np.ndarray) -> float:
-        """E(theta, s)."""
-
-    @abstractmethod
-    def grad_theta_energy(self, theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """dE/dtheta at fixed s, shape (param_dim,)."""
-
-    @abstractmethod
-    def loss(self, s: np.ndarray) -> float:
-        """l(s)."""
-
-    def grad_state_energy(self, theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """dE/ds at fixed theta; required for continuous-state models."""
-        raise NotImplementedError(f"{type(self).__name__} has no state-energy gradient")
-
-    def grad_state_loss(self, s: np.ndarray) -> np.ndarray:
-        """dl/ds; required for continuous-state models with nonzero loss."""
-        raise NotImplementedError(f"{type(self).__name__} has no state-loss gradient")
-
-    # ------------------------------------------------------------------
-    # batched interface (rows of an (m, state_dim) array)
-    # ------------------------------------------------------------------
-
     def energy_batch(self, theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return np.array([self.energy(theta, s) for s in states])
+        """E(theta, s_i) per row, shape (m,)."""
 
+    @abstractmethod
     def loss_batch(self, states: np.ndarray) -> np.ndarray:
-        return np.array([self.loss(s) for s in states])
+        """l(s_i) per row, shape (m,)."""
 
-    def grad_state_energy_batch(self, theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_state_energy(theta, s) for s in states])
-
-    def grad_state_loss_batch(self, states: np.ndarray) -> np.ndarray:
-        return np.stack([self.grad_state_loss(s) for s in states])
-
+    @abstractmethod
     def grad_theta_energy_sum(
         self, theta: np.ndarray, states: np.ndarray, weights: np.ndarray | None = None
     ) -> np.ndarray:
         """sum_i w_i dE/dtheta(theta, s_i); unit weights when omitted."""
-        total = np.zeros(self.param_dim)
-        if weights is None:
-            for s in states:
-                total += self.grad_theta_energy(theta, s)
-        else:
-            for w, s in zip(weights, states):
-                total += w * self.grad_theta_energy(theta, s)
-        return total
+
+    def grad_state_energy_batch(self, theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """dE/ds per row at fixed theta; required for continuous-state models."""
+        raise NotImplementedError(f"{type(self).__name__} has no state-energy gradient")
+
+    def grad_state_loss_batch(self, states: np.ndarray) -> np.ndarray:
+        """dl/ds per row; required for continuous-state models with nonzero loss."""
+        raise NotImplementedError(f"{type(self).__name__} has no state-loss gradient")
+
+    # -- single-state views: row s[None, :] of the batched methods -------
+
+    def energy(self, theta: np.ndarray, s: np.ndarray) -> float:
+        return float(self.energy_batch(theta, s[None, :])[0])
+
+    def loss(self, s: np.ndarray) -> float:
+        return float(self.loss_batch(s[None, :])[0])
+
+    def grad_theta_energy(self, theta: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self.grad_theta_energy_sum(theta, s[None, :])
+
+    def grad_state_energy(self, theta: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return self.grad_state_energy_batch(theta, s[None, :])[0]
+
+    def grad_state_loss(self, s: np.ndarray) -> np.ndarray:
+        return self.grad_state_loss_batch(s[None, :])[0]
 
     def kernel_site_delta(
         self, theta: np.ndarray, beta: float, states: np.ndarray, site: int
@@ -244,9 +206,7 @@ class EnergyModel(ABC):
         f_lo = kernel_batch(self, theta, beta, flipped)
         return f_hi - f_lo
 
-    # ------------------------------------------------------------------
-    # housekeeping
-    # ------------------------------------------------------------------
+    # -- housekeeping -----------------------------------------------------
 
     @property
     def clamp_mask(self) -> np.ndarray:
@@ -278,16 +238,7 @@ class EnergyModel(ABC):
 
 def objective_kernel(model: EnergyModel, theta, beta, s) -> float:
     """F(theta, beta, s) = E(theta, s) + beta * l(s), with finiteness checks."""
-    b = as_nudge(beta)
-    theta = as_array(theta)
-    s = as_array(s)
-    e = float(model.energy(theta, s))
-    if not np.isfinite(e):
-        raise EvaluationError(f"energy evaluated to a non-finite value ({e!r})")
-    l = float(model.loss(s))
-    if not np.isfinite(l):
-        raise EvaluationError(f"loss evaluated to a non-finite value ({l!r})")
-    return e + b * l
+    return float(kernel_batch(model, theta, beta, as_array(s)[None, :])[0])
 
 
 def kernel_batch(model: EnergyModel, theta, beta, states: np.ndarray) -> np.ndarray:

@@ -22,7 +22,15 @@ from .estimators import (
     grad_supervised_mc,
 )
 from .oracle import DEFAULT_N_MAX, exact_grad_A_contrast
-from .rng import FREE_PHASE, NUDGED_PHASE, derive_seed
+from .rng import (
+    FREE_PHASE,
+    NUDGED_PHASE,
+    SWEEP_CONTRAST_BASE,
+    SWEEP_REFERENCE,
+    SWEEP_SNR_BASE,
+    SWEEP_UPDATE_BASE,
+    derive_seed,
+)
 from .sampler import ChainConfig, run_chains
 
 DEGENERATE_NORM = 1e-12
@@ -178,7 +186,7 @@ def alignment_sweep(
 
     supervised = _mean_grad([
         grad_supervised_mc(
-            m, theta, t, ref_cfg.with_seed(derive_seed(config.seed, 90, i)), init
+            m, theta, t, ref_cfg.with_seed(derive_seed(config.seed, SWEEP_REFERENCE, i)), init
         )
         for i, (m, init) in enumerate(zip(models, inits))
     ])
@@ -189,7 +197,7 @@ def alignment_sweep(
             _mean_grad([
                 grad_classical_ep(
                     m, theta, t, beta,
-                    config.with_seed(derive_seed(config.seed, 10 + k, i, r)), init,
+                    config.with_seed(derive_seed(config.seed, SWEEP_UPDATE_BASE + k, i, r)), init,
                 )
                 for i, (m, init) in enumerate(zip(models, inits))
             ])
@@ -205,7 +213,7 @@ def alignment_sweep(
             contrast = _mean_grad([
                 grad_beta_contrast_mc(
                     m, theta, t, beta,
-                    ref_cfg.with_seed(derive_seed(config.seed, 50 + k, i)), init,
+                    ref_cfg.with_seed(derive_seed(config.seed, SWEEP_CONTRAST_BASE + k, i)), init,
                 )
                 for i, (m, init) in enumerate(zip(models, inits))
             ])
@@ -224,7 +232,7 @@ def alignment_sweep(
             probe_snrs = [
                 snr_of_perturbation(
                     m, theta, beta, t,
-                    config.with_seed(derive_seed(config.seed, 70 + k, i)),
+                    config.with_seed(derive_seed(config.seed, SWEEP_SNR_BASE + k, i)),
                     init, n_repeats=snr_repeats,
                 )
                 for i, (m, init) in enumerate(zip(models[:snr_probes], inits[:snr_probes]))

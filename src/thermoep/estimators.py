@@ -1,14 +1,12 @@
 """Monte Carlo estimators of the contrastive gradient.
 
-Five views of the same target:
+Four views of the same target:
 
 - expectation contrast: E_rho1[dE] - E_rho0[dE], the exact two-phase form;
 - classical EP: (E_rho_beta[dE] - E_rho0[dE]) / beta, the finite-nudge
   practical update (equal to the contrast at beta = 1);
 - integrated covariance: -(1/T) * sum_k w_k Cov_rho_beta_k[l, dE] over a
   quadrature grid on [0, 1];
-- path integral: the same quadrature discretisation carried as its own
-  method tag, for side-by-side training comparisons;
 - supervised covariance: -(1/T) Cov_rho_0[l, dE], the gradient of the
   expected loss at the free phase.
 
@@ -37,7 +35,6 @@ class EstimatorMethod(Enum):
     EXPECTATION_CONTRAST = "expectation_contrast"
     CLASSICAL_EP = "classical_ep"
     INTEGRATED_COVARIANCE = "integrated_covariance"
-    PATH_INTEGRAL = "path_integral"
     SUPERVISED_COVARIANCE = "supervised_covariance"
 
 
@@ -218,7 +215,6 @@ def grad_covariance_mc(
     quadrature: QuadratureSpec,
     config: ChainConfig,
     init=None,
-    method: EstimatorMethod = EstimatorMethod.INTEGRATED_COVARIANCE,
 ) -> GradEstimate:
     """Quadrature over per-node covariance estimates:
 
@@ -244,19 +240,8 @@ def grad_covariance_mc(
         node_meta.append(info)
     meta = {"temperature": t, "scheme": quadrature.scheme, "nodes": node_meta}
     return GradEstimate(
-        model.param_vector(-total / t), np.sqrt(total_var) / t, method, meta
-    )
-
-
-def grad_path_integral(
-    model: EnergyModel, theta, temperature, n_nodes: int, config: ChainConfig, init=None
-) -> GradEstimate:
-    """Integrated-covariance gradient on a trapezoid grid, tagged as the
-    path-integral training method.  With n_nodes = 2 it averages just the
-    endpoint covariances."""
-    return grad_covariance_mc(
-        model, theta, temperature, QuadratureSpec.trapezoid(n_nodes), config, init,
-        method=EstimatorMethod.PATH_INTEGRAL,
+        model.param_vector(-total / t), np.sqrt(total_var) / t,
+        EstimatorMethod.INTEGRATED_COVARIANCE, meta,
     )
 
 

@@ -56,22 +56,13 @@ class TwoStateModel(EnergyModel):
     state_kind = StateKind.BINARY
     site_values = (0.0, 1.0)
 
-    def energy(self, theta, s):
-        return float(theta[0] * s[0])
-
     def energy_batch(self, theta, states):
         return theta[0] * states[:, 0]
-
-    def grad_theta_energy(self, theta, s):
-        return np.array([s[0]])
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         col = states[:, 0]
         total = col.sum() if weights is None else float(weights @ col)
         return np.array([total])
-
-    def loss(self, s):
-        return float(s[0])
 
     def loss_batch(self, states):
         return states[:, 0].copy()
@@ -117,26 +108,15 @@ class SpinGlassModel(EnergyModel):
         w[self._iu] = coup
         return w + w.T
 
-    def energy(self, theta, s):
-        return float(self.energy_batch(theta, s[None, :])[0])
-
     def energy_batch(self, theta, states):
         fields, coup = self._split(theta)
         return -(states @ fields) - (self._pair_products(states) @ coup)
-
-    def grad_theta_energy(self, theta, s):
-        return self.grad_theta_energy_sum(theta, s[None, :])
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         pairs = self._pair_products(states)
         if weights is None:
             return -np.concatenate([states.sum(axis=0), pairs.sum(axis=0)])
         return -np.concatenate([weights @ states, weights @ pairs])
-
-    def loss(self, s):
-        if self._loss is None:
-            return 0.0
-        return float(self._loss(s[None, :])[0])
 
     def loss_batch(self, states):
         if self._loss is None:
@@ -201,35 +181,20 @@ class QuadraticEnergyModel(EnergyModel):
         if self._a is not None and self._a.shape != (dim,):
             raise ValueError("loss_vector must have the state dimension")
 
-    def energy(self, theta, s):
-        return float(0.5 * theta[0] * (s @ s))
-
     def energy_batch(self, theta, states):
         return 0.5 * theta[0] * np.einsum("ij,ij->i", states, states)
-
-    def grad_theta_energy(self, theta, s):
-        return np.array([0.5 * (s @ s)])
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         sq = 0.5 * np.einsum("ij,ij->i", states, states)
         return np.array([sq.sum() if weights is None else float(weights @ sq)])
 
-    def grad_state_energy(self, theta, s):
-        return theta[0] * s
-
     def grad_state_energy_batch(self, theta, states):
         return theta[0] * states
-
-    def loss(self, s):
-        return 0.0 if self._a is None else float(self._a @ s)
 
     def loss_batch(self, states):
         if self._a is None:
             return np.zeros(len(states))
         return states @ self._a
-
-    def grad_state_loss(self, s):
-        return np.zeros(self.state_dim) if self._a is None else self._a.copy()
 
     def grad_state_loss_batch(self, states):
         if self._a is None:
@@ -367,9 +332,6 @@ class LayeredTanhEnergyNet(EnergyModel):
 
     # -- energy ---------------------------------------------------------
 
-    def energy(self, theta, s):
-        return float(self.energy_batch(theta, s[None, :])[0])
-
     def energy_batch(self, theta, states):
         w1, w2, b_h, b_o = self.unpack(theta)
         x, h, o = self.split_state(states)
@@ -377,9 +339,6 @@ class LayeredTanhEnergyNet(EnergyModel):
         quad = 0.5 * np.einsum("ij,ij->i", h, h) + 0.5 * np.einsum("ij,ij->i", o, o)
         drive = np.einsum("ij,ij->i", x @ w1, th) + np.einsum("ij,ij->i", th @ w2, to)
         return quad - drive - th @ b_h - to @ b_o
-
-    def grad_state_energy(self, theta, s):
-        return self.grad_state_energy_batch(theta, s[None, :])[0]
 
     def grad_state_energy_batch(self, theta, states):
         w1, w2, b_h, b_o = self.unpack(theta)
@@ -390,9 +349,6 @@ class LayeredTanhEnergyNet(EnergyModel):
         g_h = h - sech2_h * (x @ w1 + to @ w2.T + b_h)
         g_o = o - sech2_o * (th @ w2 + b_o)
         return np.concatenate([g_x, g_h, g_o], axis=-1)
-
-    def grad_theta_energy(self, theta, s):
-        return self.grad_theta_energy_sum(theta, s[None, :])
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         x, h, o = self.split_state(states)
@@ -416,36 +372,16 @@ class LayeredTanhEnergyNet(EnergyModel):
             raise ValueError("no target bound to this network; use with_target()")
         return self.target
 
-    def loss(self, s):
-        t = self._require_target()
-        _, _, o = self.split_state(s)
-        return float(0.5 * np.sum((o - t) ** 2))
-
     def loss_batch(self, states):
         t = self._require_target()
         _, _, o = self.split_state(states)
         return 0.5 * np.einsum("ij,ij->i", o - t, o - t)
-
-    def grad_state_loss(self, s):
-        return self.grad_state_loss_batch(s[None, :])[0]
 
     def grad_state_loss_batch(self, states):
         t = self._require_target()
         _, _, o = self.split_state(states)
         g = np.zeros_like(states)
         g[..., self.n_in + self.n_hidden :] = o - t
-        return g
-
-    def loss_rows(self, states, targets):
-        """Per-row loss with a distinct target per row."""
-        _, _, o = self.split_state(states)
-        d = o - targets
-        return 0.5 * np.einsum("ij,ij->i", d, d)
-
-    def grad_state_loss_rows(self, states, targets):
-        _, _, o = self.split_state(states)
-        g = np.zeros_like(states)
-        g[..., self.n_in + self.n_hidden :] = o - targets
         return g
 
     # -- deterministic free-phase relaxation ----------------------------

@@ -132,12 +132,6 @@ def _objective_longdouble(model, theta, temperature, n_max=DEFAULT_N_MAX):
     return a(np.longdouble(1.0)) - a(np.longdouble(0.0))
 
 
-def gibbs_expectation(model, theta, beta, temperature, values_fn, n_max=DEFAULT_N_MAX):
-    """E_rho_beta[values_fn], with values_fn mapping the state table to rows."""
-    table = gibbs_table(model, theta, beta, temperature, n_max)
-    return table.expectation(values_fn(table.states))
-
-
 def expected_loss(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
     table = gibbs_table(model, theta, beta, temperature, n_max)
     return float(table.expectation(model.loss_batch(table.states)))

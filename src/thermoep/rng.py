@@ -27,6 +27,17 @@ NUDGED_PHASE = 1
 NODE_BASE = 100
 SUPERVISED_PHASE = 2
 
+# Trainer streams: parameter init, per-epoch shuffle, per-minibatch phases.
+INIT_STREAM = 11
+SHUFFLE_STREAM = 13
+PHASE_STREAM = 17
+# alignment_sweep streams: the supervised reference, then bases offset by
+# the beta index k for the updates, the MC contrast and the SNR probes.
+SWEEP_REFERENCE = 90
+SWEEP_UPDATE_BASE = 10
+SWEEP_CONTRAST_BASE = 50
+SWEEP_SNR_BASE = 70
+
 
 def seed_sequence(master: int, *path: int) -> np.random.SeedSequence:
     entropy = [_as_entropy(master)] + [_as_entropy(p) for p in path]

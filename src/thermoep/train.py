@@ -43,15 +43,19 @@ from .models import (
     pack_layers,
     unpack_layers,
 )
-from .rng import FREE_PHASE, NODE_BASE, NUDGED_PHASE, derive_seed, make_generator
+from .rng import (
+    FREE_PHASE,
+    INIT_STREAM,
+    NODE_BASE,
+    NUDGED_PHASE,
+    PHASE_STREAM,
+    SHUFFLE_STREAM,
+    derive_seed,
+    make_generator,
+)
 from .sampler import ChainConfig, DivergenceError, Kernel, _keep_slots
 
 METHODS = ("ep", "path_integral", "backprop")
-
-# fixed sub-stream tags under the master seed
-_INIT_STREAM = 11
-_SHUFFLE_STREAM = 13
-_PHASE_STREAM = 17
 
 CHECKPOINT_VERSION = 1
 
@@ -443,7 +447,7 @@ def train(
         start_epoch = resume.epoch + 1
         history = list(resume.history)
     else:
-        theta = np.array(init_layer_params(*sizes, derive_seed(cfg.seed, _INIT_STREAM)).values)
+        theta = np.array(init_layer_params(*sizes, derive_seed(cfg.seed, INIT_STREAM)).values)
         velocity = np.zeros_like(theta)
         start_epoch = 1
         history = []
@@ -452,13 +456,13 @@ def train(
     n = len(train_ds)
 
     for epoch in range(start_epoch, cfg.epochs + 1):
-        perm = make_generator(cfg.seed, _SHUFFLE_STREAM, epoch).permutation(n)
+        perm = make_generator(cfg.seed, SHUFFLE_STREAM, epoch).permutation(n)
         j_values = []
         for b_idx in range(0, n, cfg.batch_size):
             chunk = perm[b_idx : b_idx + cfg.batch_size]
             x = train_ds.inputs[chunk]
             tg = targets[chunk]
-            path = (_PHASE_STREAM, epoch, b_idx)
+            path = (PHASE_STREAM, epoch, b_idx)
             if cfg.method == "backprop":
                 grad = baseline.backprop_grad_batch(theta, x, tg)
                 j_est = float("nan")

@@ -31,7 +31,7 @@ from thermoep.oracle import (
     exact_grad_J_covariance,
     run_consistency_suite,
 )
-from thermoep.rng import derive_seed
+from thermoep.rng import SWEEP_SNR_BASE, derive_seed
 from thermoep.sampler import ChainConfig, Kernel
 from thermoep.train import TrainConfig, train
 
@@ -166,7 +166,7 @@ def test_snr_order_of_magnitude(probe_setup, announce):
         values = [
             snr_of_perturbation(
                 probes[i], theta, beta, 0.1,
-                cfg.with_seed(derive_seed(cfg.seed, 70, i)),
+                cfg.with_seed(derive_seed(cfg.seed, SWEEP_SNR_BASE, i)),
                 inits[i], n_repeats=8,
             )
             for i in range(4)

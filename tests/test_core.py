@@ -8,7 +8,6 @@ from thermoep.core import (
     NudgeStrength,
     ParamVector,
     StateKind,
-    StateVector,
     Temperature,
     as_nudge,
     as_temperature,
@@ -20,6 +19,13 @@ from thermoep.core import (
     theta_fingerprint,
 )
 from thermoep.models import SpinGlassModel, TwoStateModel, random_spin_glass
+from thermoep.oracle import (
+    contrastive_objective,
+    enumerate_states,
+    exact_grad_J_contrast,
+    gibbs_table,
+)
+from thermoep.sampler import ChainConfig, Kernel, run_chains
 
 
 def test_temperature_must_be_positive():
@@ -88,19 +94,6 @@ class TestParamVector:
             ParamVector(np.array([1.0, np.nan]), (("a", 0, 2),))
 
 
-class TestStateVector:
-    def test_binary_entries_checked_against_site_values(self):
-        StateVector(np.array([1.0, -1.0]), StateKind.BINARY)
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.5]), StateKind.BINARY)
-        StateVector(np.array([0.0, 1.0]), StateKind.BINARY, site_values=(0.0, 1.0))
-
-    def test_continuous_entries_must_be_finite(self):
-        StateVector(np.array([0.3, -2.0]), StateKind.CONTINUOUS)
-        with pytest.raises(ValueError):
-            StateVector(np.array([np.inf, 0.0]), StateKind.CONTINUOUS)
-
-
 def test_objective_kernel_is_energy_plus_beta_loss(small_glass):
     model, theta = small_glass
     s = np.array([1.0, -1.0, 1.0, 1.0])
@@ -150,18 +143,61 @@ def test_max_relative_error_is_per_coordinate():
     assert max_relative_error(np.zeros(2), np.zeros(2)) == 0.0
 
 
-def test_batched_fallbacks_match_scalar_loops(small_glass):
+class _SpinPair(EnergyModel):
+    """Two +/-1 spins, E = -theta_0 s_0 s_1 - theta_1 s_0, l = (1 - s_1) / 2.
+
+    Defines only the three abstract batch methods, so every other method
+    it is driven through comes from the EnergyModel base.
+    """
+
+    param_dim = 2
+    state_dim = 2
+    state_kind = StateKind.BINARY
+
+    def _features(self, states):
+        return np.stack([states[:, 0] * states[:, 1], states[:, 0]], axis=1)
+
+    def energy_batch(self, theta, states):
+        return -(self._features(states) @ theta)
+
+    def loss_batch(self, states):
+        return (1.0 - states[:, 1]) / 2.0
+
+    def grad_theta_energy_sum(self, theta, states, weights=None):
+        f = -self._features(states)
+        return f.sum(axis=0) if weights is None else weights @ f
+
+
+def test_batch_only_model_runs_through_oracle_and_sampler():
+    model, theta = _SpinPair(), np.array([0.8, -0.3])
+    s = np.array([1.0, -1.0])
+    assert model.energy(theta, s) == pytest.approx(0.8 + 0.3)
+    assert model.loss(s) == 1.0
+    np.testing.assert_array_equal(model.grad_theta_energy(theta, s), [1.0, -1.0])
+
+    fd = central_difference_grad(lambda t: contrastive_objective(model, t), theta)
+    np.testing.assert_allclose(exact_grad_J_contrast(model, theta), fd, rtol=1e-7)
+
+    cfg = ChainConfig(n_steps=600, n_chains=8, burn_in=100, kernel=Kernel.GIBBS_SWEEP, seed=5)
+    batch = run_chains(model, theta, 1.0, 1.0, cfg)
+    assert set(np.unique(batch.samples)) <= {-1.0, 1.0}
+    per_chain = np.stack(
+        [model.grad_theta_energy_sum(theta, c) / batch.n_kept for c in batch.per_chain()]
+    )
+    table = gibbs_table(model, theta, 1.0, 1.0)
+    exact = model.grad_theta_energy_sum(theta, table.states, weights=table.probs)
+    stderr = per_chain.std(axis=0, ddof=1) / np.sqrt(batch.n_chains)
+    assert np.max(np.abs(per_chain.mean(axis=0) - exact) / stderr) < 4.0
+
+
+def test_scalar_energy_passes_long_double_theta_through(small_glass):
+    # the oracle's long-double objective evaluates energy(theta_ld, s)
     model, theta = small_glass
-    rng = np.random.default_rng(2)
-    states = np.where(rng.random((5, 4)) < 0.5, 1.0, -1.0)
-    np.testing.assert_allclose(
-        model.energy_batch(theta, states),
-        [model.energy(theta, s) for s in states],
-        atol=1e-13,
-    )
-    np.testing.assert_allclose(
-        model.loss_batch(states), [model.loss(s) for s in states], atol=1e-13
-    )
+    theta_ld = theta.astype(np.longdouble)
+    states = enumerate_states(model)
+    scalar = [model.energy(theta_ld, s) for s in states]
+    assert scalar == [float(model.energy_batch(theta_ld, s[None])[0]) for s in states]
+    assert scalar != [model.energy(theta, s) for s in states]
 
 
 def test_grad_theta_energy_sum_weights(small_glass):

@@ -8,7 +8,6 @@ from thermoep.estimators import (
     grad_classical_ep,
     grad_contrast_mc,
     grad_covariance_mc,
-    grad_path_integral,
     grad_supervised_mc,
 )
 from thermoep.models import QuadraticEnergyModel, random_spin_glass
@@ -146,17 +145,6 @@ class TestCovarianceEstimator:
         est = grad_covariance_mc(model, theta, 1.0, quad, gibbs_config)
         betas = [node["beta"] for node in est.meta["nodes"]]
         np.testing.assert_allclose(betas, [0.0, 0.5, 1.0])
-
-
-class TestPathIntegral:
-    def test_equals_trapezoid_quadrature(self, small_glass, gibbs_config):
-        model, theta = small_glass
-        pi = grad_path_integral(model, theta, 1.0, 3, gibbs_config)
-        quad = grad_covariance_mc(
-            model, theta, 1.0, QuadratureSpec.trapezoid(3), gibbs_config
-        )
-        assert pi.grad.values.tobytes() == quad.grad.values.tobytes()
-        assert pi.method is EstimatorMethod.PATH_INTEGRAL
 
 
 class TestSupervisedEstimator:

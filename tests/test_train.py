@@ -5,7 +5,7 @@ import pytest
 
 from thermoep.data import one_hot, train_test_blobs
 from thermoep.models import LayeredTanhEnergyNet, init_layer_params
-from thermoep.rng import derive_seed
+from thermoep.rng import INIT_STREAM, derive_seed
 from thermoep.sampler import DivergenceError
 from thermoep.train import (
     Checkpoint,
@@ -229,7 +229,7 @@ class TestTrainLoop:
         cfg = quick_config(epochs=1)
         result = train(train_ds, test_ds, cfg)
         theta0 = init_layer_params(
-            train_ds.dim, cfg.n_hidden, train_ds.n_classes, derive_seed(cfg.seed, 11)
+            train_ds.dim, cfg.n_hidden, train_ds.n_classes, derive_seed(cfg.seed, INIT_STREAM)
         ).values
         assert result.checkpoint.layer_sizes == (12, 8, 4)
         assert theta0.shape == result.theta.shape
