@@ -29,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import EvaluationError, theta_fingerprint
-from .data import Dataset, load_idx, train_test_blobs
+from .data import Dataset, load_idx, one_hot, train_test_blobs
 from .diagnostics import alignment_sweep
 from .estimators import EstimationError
-from .models import QuadraticEnergyModel, init_layer_params, random_spin_glass
+from .models import LayeredTanhEnergyNet, QuadraticEnergyModel, init_layer_params, random_spin_glass
 from .oracle import gibbs_table, run_consistency_suite
 from .rng import INIT_STREAM, derive_seed
-from .sampler import ChainConfig, DivergenceError, Kernel, run_chains
-from .train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
+from .sampler import ChainConfig, Kernel, run_chains
+from .train import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 class ConfigError(ValueError):
@@ -360,9 +360,6 @@ def cmd_sweep(args) -> int:
         theta = init_layer_params(train_ds.dim, hidden, train_ds.n_classes, init_seed).values
         print("note: no checkpoint given; sweeping an untrained parameter vector")
 
-    from .data import one_hot
-    from .models import LayeredTanhEnergyNet
-
     net = LayeredTanhEnergyNet(train_ds.dim, hidden, train_ds.n_classes)
     targets = one_hot(train_ds.labels, train_ds.n_classes)
     models = [net.with_target(targets[i]) for i in range(n_probe)]
@@ -537,10 +534,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DivergenceError, EvaluationError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 3
-    except FloatingPointError as e:
+    except (FloatingPointError, EvaluationError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except (ConfigError, EstimationError, OSError, ValueError) as e:

@@ -15,13 +15,8 @@ import numpy as np
 from scipy import stats
 
 from .core import EnergyModel, StateKind, as_nudge, as_temperature
-from .estimators import (
-    GradEstimate,
-    grad_beta_contrast_mc,
-    grad_classical_ep,
-    grad_supervised_mc,
-)
-from .oracle import DEFAULT_N_MAX, exact_grad_A_contrast
+from .estimators import GradEstimate, grad_classical_ep, grad_contrast_mc, grad_supervised_mc
+from .oracle import DEFAULT_N_MAX, exact_grad_J_contrast
 from .rng import (
     FREE_PHASE,
     NUDGED_PHASE,
@@ -58,17 +53,14 @@ def snr_of_perturbation(
     config: ChainConfig,
     init=None,
     n_repeats: int = 8,
-    per_unit: bool = False,
 ) -> float:
     """Signal-to-noise ratio of the nudge-induced state perturbation.
 
     Each repeat r draws an independent free batch and nudged batch from a
     common init and records delta_r = mean nudged state - mean free state
-    over the unclamped coordinates.  Default ("across runs"): the ratio
-    of |mean_r delta| to the mean distance of delta_r from that mean.
-    With per_unit=True: |mean| / std per coordinate, averaged over
-    coordinates whose scatter is nonzero.  Returns inf when the noise
-    term vanishes.
+    over the unclamped coordinates.  The ratio is |mean_r delta| over the
+    mean distance of delta_r from that mean (the scatter across runs).
+    Returns inf when the scatter vanishes.
     """
     if n_repeats < 2:
         raise ValueError("n_repeats must be >= 2")
@@ -89,12 +81,6 @@ def snr_of_perturbation(
         deltas.append(diff[free_coords])
     deltas = np.stack(deltas)
     mean = deltas.mean(axis=0)
-    if per_unit:
-        spread = deltas.std(axis=0, ddof=1)
-        live = spread > 0.0
-        if not np.any(live):
-            return np.inf
-        return float(np.mean(np.abs(mean[live]) / spread[live]))
     noise = float(np.mean(np.linalg.norm(deltas - mean, axis=1)))
     if noise == 0.0:
         return np.inf
@@ -207,13 +193,14 @@ def alignment_sweep(
             contrast = None
         elif enumerable:
             contrast = np.mean(
-                [exact_grad_A_contrast(m, theta, beta, t) for m in models], axis=0
+                [exact_grad_J_contrast(m, theta, t, beta=beta) for m in models], axis=0
             )
         else:
             contrast = _mean_grad([
-                grad_beta_contrast_mc(
-                    m, theta, t, beta,
+                grad_contrast_mc(
+                    m, theta, t,
                     ref_cfg.with_seed(derive_seed(config.seed, SWEEP_CONTRAST_BASE + k, i)), init,
+                    beta=beta,
                 )
                 for i, (m, init) in enumerate(zip(models, inits))
             ])

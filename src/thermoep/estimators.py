@@ -2,8 +2,9 @@
 
 Four views of the same target:
 
-- expectation contrast: E_rho1[dE] - E_rho0[dE], the exact two-phase form;
-- classical EP: (E_rho_beta[dE] - E_rho0[dE]) / beta, the finite-nudge
+- expectation contrast: E_rho_beta[dE] - E_rho0[dE], the exact two-phase
+  form (grad J at beta = 1);
+- classical EP: the contrast at beta divided by beta, the finite-nudge
   practical update (equal to the contrast at beta = 1);
 - integrated covariance: -(1/T) * sum_k w_k Cov_rho_beta_k[l, dE] over a
   quadrature grid on [0, 1];
@@ -150,12 +151,18 @@ def _mean_and_stderr(per_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return per_chain.mean(axis=0), np.sqrt(per_chain.var(axis=0, ddof=1) / c)
 
 
-def _two_phase(
-    model, theta, temperature, beta, scale, method, config: ChainConfig, init
+def grad_contrast_mc(
+    model: EnergyModel, theta, temperature, config: ChainConfig, init=None, beta=1.0
 ) -> GradEstimate:
+    """Two-phase contrast at nudge beta: mean dE under rho_beta minus under rho_0.
+
+    Estimates grad[A(theta, beta) - A(theta, 0)], which at the default
+    beta = 1 is grad J.
+    """
+    b = as_nudge(beta)
     theta = model.validate_theta(theta)
     nudged = run_chains(
-        model, theta, beta, temperature,
+        model, theta, b, temperature,
         config.with_seed(derive_seed(config.seed, NUDGED_PHASE)), init,
     )
     free = run_chains(
@@ -165,20 +172,13 @@ def _two_phase(
     diffs = _chain_mean_grads(model, theta, nudged) - _chain_mean_grads(model, theta, free)
     mean, stderr = _mean_and_stderr(diffs)
     meta = {
-        "beta": beta,
+        "beta": b,
         "temperature": as_temperature(temperature),
         "nudged": _batch_meta(nudged),
         "free": _batch_meta(free),
     }
-    return GradEstimate(model.param_vector(scale * mean), abs(scale) * stderr, method, meta)
-
-
-def grad_contrast_mc(
-    model: EnergyModel, theta, temperature, config: ChainConfig, init=None
-) -> GradEstimate:
-    """Two-phase estimate of grad J: mean dE under rho_1 minus under rho_0."""
-    return _two_phase(
-        model, theta, temperature, 1.0, 1.0, EstimatorMethod.EXPECTATION_CONTRAST, config, init
+    return GradEstimate(
+        model.param_vector(mean), stderr, EstimatorMethod.EXPECTATION_CONTRAST, meta
     )
 
 
@@ -187,24 +187,17 @@ def grad_classical_ep(
 ) -> GradEstimate:
     """Finite-nudge update (E_rho_beta[dE] - E_rho_0[dE]) / beta.
 
-    With beta_nudge = 1 this is exactly grad_contrast_mc: the phases use
-    the same derived seeds, so the two calls agree bit for bit.
+    The contrast at beta_nudge, rescaled by 1 / beta_nudge; with
+    beta_nudge = 1 it equals grad_contrast_mc bit for bit.
     """
     b = as_nudge(beta_nudge)
     if b <= 0.0:
         raise EstimationError("classical EP needs beta_nudge > 0")
-    return _two_phase(
-        model, theta, temperature, b, 1.0 / b, EstimatorMethod.CLASSICAL_EP, config, init
-    )
-
-
-def grad_beta_contrast_mc(
-    model: EnergyModel, theta, temperature, beta, config: ChainConfig, init=None
-) -> GradEstimate:
-    """Unscaled contrast at nudge beta: estimates grad[A(theta,beta) - A(theta,0)]."""
-    b = as_nudge(beta)
-    return _two_phase(
-        model, theta, temperature, b, 1.0, EstimatorMethod.EXPECTATION_CONTRAST, config, init
+    est = grad_contrast_mc(model, theta, temperature, config, init, beta=b)
+    scale = 1.0 / b
+    return GradEstimate(
+        model.param_vector(scale * est.grad.values), scale * est.std_err,
+        EstimatorMethod.CLASSICAL_EP, est.meta,
     )
 
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EnergyModel, ParamVector, StateKind
+from .sampler import DivergenceError, RelaxResult
 
 
 @dataclass(frozen=True)
@@ -268,14 +269,6 @@ def init_layer_params(n_in: int, n_hidden: int, n_out: int, seed: int) -> ParamV
     return ParamVector(flat, layer_segments(n_in, n_hidden, n_out))
 
 
-@dataclass
-class BatchRelaxResult:
-    states: np.ndarray
-    converged: bool
-    iterations: int
-    grad_inf_norm: float
-
-
 class LayeredTanhEnergyNet(EnergyModel):
     """Continuous two-block network with clamped inputs.
 
@@ -388,7 +381,7 @@ class LayeredTanhEnergyNet(EnergyModel):
 
     def relax_free_batch(
         self, theta, inputs, step: float = 0.5, max_iters: int = 300, tol: float = 1e-8
-    ) -> BatchRelaxResult:
+    ) -> RelaxResult:
         """Gradient descent on E over (h, o) with x clamped, batched over rows.
 
         The input drive x @ W1 is constant during relaxation and is
@@ -407,18 +400,18 @@ class LayeredTanhEnergyNet(EnergyModel):
             g_o = o - (1.0 - to**2) * (th @ w2 + b_o)
             gnorm = max(np.max(np.abs(g_h)), np.max(np.abs(g_o)))
             if not np.isfinite(gnorm):
-                raise FloatingPointError("free-phase relaxation diverged")
+                raise DivergenceError(f"free-phase relaxation diverged at iteration {iters}")
             if gnorm <= tol:
                 break
             h -= step * g_h
             o -= step * g_o
         states = np.concatenate([x, h, o], axis=1)
-        return BatchRelaxResult(states, bool(gnorm <= tol), iters, float(gnorm))
+        return RelaxResult(states, bool(gnorm <= tol), iters, float(gnorm))
 
     def predict(self, theta, inputs, **relax_kw) -> np.ndarray:
         """Class labels: argmax over output units of the relaxed free state."""
         result = self.relax_free_batch(theta, inputs, **relax_kw)
-        _, _, o = self.split_state(result.states)
+        _, _, o = self.split_state(result.state)
         return np.argmax(o, axis=1)
 
 

@@ -22,10 +22,10 @@ from .core import (
     as_nudge,
     as_temperature,
     central_difference_grad,
-    max_relative_error,
+    kernel_batch,
 )
 from .estimators import QuadratureSpec
-from .models import SpinGlassModel, linear_state_loss, output_spin_mismatch_loss, random_spin_glass
+from .models import random_spin_glass
 
 # Enumeration is 2^n in time and memory; past 16 sites a "quick exact
 # check" silently becomes a million-state scan, so refuse loudly.
@@ -43,8 +43,7 @@ def enumerate_states(model: EnergyModel, n_max: int = DEFAULT_N_MAX) -> np.ndarr
     n = model.state_dim
     if n > n_max:
         raise EnumerationRefusedError(
-            f"model has {n} sites; enumeration is capped at n_max={n_max} "
-            f"(2^{n} states). Raise n_max explicitly if you really mean it."
+            f"model has {n} sites; enumeration is capped at n_max={n_max} (2^{n} states)"
         )
     lo, hi = model.site_values
     codes = np.arange(2**n, dtype=np.uint32)
@@ -76,39 +75,32 @@ class GibbsTable:
         return self.probs @ np.asarray(values, dtype=np.float64)
 
 
-def gibbs_table(
-    model: EnergyModel, theta, beta, temperature=1.0, n_max: int = DEFAULT_N_MAX
-) -> GibbsTable:
+def gibbs_table(model: EnergyModel, theta, beta, temperature=1.0) -> GibbsTable:
     beta = as_nudge(beta)
     t = as_temperature(temperature)
     theta = model.validate_theta(theta)
-    states = enumerate_states(model, n_max)
-    f = model.energy_batch(theta, states) + beta * model.loss_batch(states)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("objective kernel is non-finite on some enumerated state")
-    logw = -f / t
+    states = enumerate_states(model)
+    logw = -kernel_batch(model, theta, beta, states) / t
     log_z = _logsumexp(logw)
     return GibbsTable(states, logw - log_z, log_z, beta, t)
 
 
-def log_partition_function(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
-    return gibbs_table(model, theta, beta, temperature, n_max).log_z
+def log_partition_function(model, theta, beta, temperature=1.0) -> float:
+    return gibbs_table(model, theta, beta, temperature).log_z
 
 
-def free_energy(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
+def free_energy(model, theta, beta, temperature=1.0) -> float:
     """A(theta, beta) = -T log Z_beta."""
     t = as_temperature(temperature)
-    return -t * log_partition_function(model, theta, beta, t, n_max)
+    return -t * log_partition_function(model, theta, beta, t)
 
 
-def contrastive_objective(model, theta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
+def contrastive_objective(model, theta, temperature=1.0) -> float:
     """J(theta) = A(theta, 1) - A(theta, 0)."""
-    return free_energy(model, theta, 1.0, temperature, n_max) - free_energy(
-        model, theta, 0.0, temperature, n_max
-    )
+    return free_energy(model, theta, 1.0, temperature) - free_energy(model, theta, 0.0, temperature)
 
 
-def _objective_longdouble(model, theta, temperature, n_max=DEFAULT_N_MAX):
+def _objective_longdouble(model, theta, temperature):
     """J(theta) in 80-bit arithmetic, for finite-difference baselines.
 
     A float64 logsumexp carries ~1e-14 of rounding, which divided by the
@@ -118,7 +110,7 @@ def _objective_longdouble(model, theta, temperature, n_max=DEFAULT_N_MAX):
     the gradient formula, so the baseline is evaluated in extended
     precision instead.
     """
-    states = enumerate_states(model, n_max)
+    states = enumerate_states(model)
     theta = np.asarray(theta, dtype=np.longdouble)
     t = np.longdouble(as_temperature(temperature))
     e = np.array([model.energy(theta, s) for s in states], dtype=np.longdouble)
@@ -132,39 +124,36 @@ def _objective_longdouble(model, theta, temperature, n_max=DEFAULT_N_MAX):
     return a(np.longdouble(1.0)) - a(np.longdouble(0.0))
 
 
-def expected_loss(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
-    table = gibbs_table(model, theta, beta, temperature, n_max)
+def expected_loss(model, theta, beta, temperature=1.0) -> float:
+    table = gibbs_table(model, theta, beta, temperature)
     return float(table.expectation(model.loss_batch(table.states)))
 
 
-def exact_dA_dbeta(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
+def exact_dA_dbeta(model, theta, beta, temperature=1.0) -> float:
     """dA/dbeta = E_rho_beta[l]; identical to expected_loss by the identity."""
-    return expected_loss(model, theta, beta, temperature, n_max)
+    return expected_loss(model, theta, beta, temperature)
 
 
 def _mean_grad_theta(model, theta, table: GibbsTable) -> np.ndarray:
     return model.grad_theta_energy_sum(theta, table.states, weights=table.probs)
 
 
-def exact_grad_A_contrast(model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX) -> np.ndarray:
-    """Gradient of A(theta, beta) - A(theta, 0): E_beta[dE] - E_0[dE]."""
+def exact_grad_J_contrast(model, theta, temperature=1.0, beta=1.0) -> np.ndarray:
+    """Two-phase contrast E_rho_beta[dE/dtheta] - E_rho0[dE/dtheta].
+
+    The gradient of A(theta, beta) - A(theta, 0); at the default beta = 1
+    it is grad J.
+    """
     theta = model.validate_theta(theta)
-    g_b = _mean_grad_theta(model, theta, gibbs_table(model, theta, beta, temperature, n_max))
-    g_0 = _mean_grad_theta(model, theta, gibbs_table(model, theta, 0.0, temperature, n_max))
+    g_b = _mean_grad_theta(model, theta, gibbs_table(model, theta, beta, temperature))
+    g_0 = _mean_grad_theta(model, theta, gibbs_table(model, theta, 0.0, temperature))
     return g_b - g_0
 
 
-def exact_grad_J_contrast(model, theta, temperature=1.0, n_max=DEFAULT_N_MAX) -> np.ndarray:
-    """Two-phase gradient: grad J = E_rho1[dE/dtheta] - E_rho0[dE/dtheta]."""
-    return exact_grad_A_contrast(model, theta, 1.0, temperature, n_max)
-
-
-def exact_loss_energy_covariance(
-    model, theta, beta, temperature=1.0, n_max=DEFAULT_N_MAX
-) -> np.ndarray:
+def exact_loss_energy_covariance(model, theta, beta, temperature=1.0) -> np.ndarray:
     """Cov_rho_beta[l, dE/dtheta], one entry per parameter."""
     theta = model.validate_theta(theta)
-    table = gibbs_table(model, theta, beta, temperature, n_max)
+    table = gibbs_table(model, theta, beta, temperature)
     losses = model.loss_batch(table.states)
     mean_loss = float(table.expectation(losses))
     mean_grad = _mean_grad_theta(model, theta, table)
@@ -173,7 +162,7 @@ def exact_loss_energy_covariance(
 
 
 def exact_grad_J_covariance(
-    model, theta, temperature=1.0, quadrature: QuadratureSpec | None = None, n_max=DEFAULT_N_MAX
+    model, theta, temperature=1.0, quadrature: QuadratureSpec | None = None
 ) -> np.ndarray:
     """Integrated-covariance gradient, discretised on a quadrature grid:
 
@@ -183,12 +172,12 @@ def exact_grad_J_covariance(
     quad = quadrature if quadrature is not None else QuadratureSpec.trapezoid(33)
     total = np.zeros(model.param_dim)
     for node, weight in zip(quad.nodes, quad.weights):
-        total += weight * exact_loss_energy_covariance(model, theta, node, t, n_max)
+        total += weight * exact_loss_energy_covariance(model, theta, node, t)
     return -total / t
 
 
 def quadrature_convergence_order(
-    model, theta, temperature=1.0, node_counts=(5, 9, 17, 33), n_max=DEFAULT_N_MAX
+    model, theta, temperature=1.0, node_counts=(5, 9, 17, 33)
 ) -> float:
     """Observed order of the trapezoid discretisation against the exact gradient.
 
@@ -199,12 +188,10 @@ def quadrature_convergence_order(
     true order.  Returns inf when everything is already at round-off
     (order unmeasurable, counts as converged).
     """
-    reference = exact_grad_J_contrast(model, theta, temperature, n_max)
+    reference = exact_grad_J_contrast(model, theta, temperature)
     spacings, errors = [], []
     for k in node_counts:
-        approx = exact_grad_J_covariance(
-            model, theta, temperature, QuadratureSpec.trapezoid(k), n_max
-        )
+        approx = exact_grad_J_covariance(model, theta, temperature, QuadratureSpec.trapezoid(k))
         err = float(np.max(np.abs(approx - reference)))
         if err < 1e-12:
             continue
@@ -217,23 +204,21 @@ def quadrature_convergence_order(
     )
 
 
-def kl_nudged_free(model, theta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
+def kl_nudged_free(model, theta, temperature=1.0) -> float:
     """KL(rho_1 || rho_0), computed in log space from the two tables."""
-    t1 = gibbs_table(model, theta, 1.0, temperature, n_max)
-    t0 = gibbs_table(model, theta, 0.0, temperature, n_max)
+    t1 = gibbs_table(model, theta, 1.0, temperature)
+    t0 = gibbs_table(model, theta, 0.0, temperature)
     return float(t1.expectation(t1.log_probs - t0.log_probs))
 
 
-def decomposition_residual(model, theta, temperature=1.0, n_max=DEFAULT_N_MAX) -> float:
+def decomposition_residual(model, theta, temperature=1.0) -> float:
     """J - (E_rho1[l] + T * KL(rho1 || rho0)); exactly zero in theory."""
     t = as_temperature(temperature)
-    j = contrastive_objective(model, theta, t, n_max)
-    return j - (expected_loss(model, theta, 1.0, t, n_max) + t * kl_nudged_free(model, theta, t, n_max))
+    j = contrastive_objective(model, theta, t)
+    return j - (expected_loss(model, theta, 1.0, t) + t * kl_nudged_free(model, theta, t))
 
 
-def variational_free_energy(
-    model, theta, beta, temperature=1.0, q=None, n_max=DEFAULT_N_MAX
-) -> float:
+def variational_free_energy(model, theta, beta, temperature=1.0, q=None) -> float:
     """E_q[E + beta * l] - T * S(q) for a trial distribution q on the table.
 
     Minimised (over all q) exactly at the Gibbs distribution, where it
@@ -242,14 +227,13 @@ def variational_free_energy(
     beta = as_nudge(beta)
     t = as_temperature(temperature)
     theta = model.validate_theta(theta)
-    states = enumerate_states(model, n_max)
+    states = enumerate_states(model)
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (len(states),):
         raise ValueError(f"trial distribution must have one weight per state ({len(states)})")
     if np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("trial distribution must be non-negative and sum to 1")
-    f = model.energy_batch(theta, states) + beta * model.loss_batch(states)
-    mean_f = float(q @ f)
+    mean_f = float(q @ kernel_batch(model, theta, beta, states))
     nonzero = q > 0.0
     entropy = float(-(q[nonzero] @ np.log(q[nonzero])))
     return mean_f - t * entropy

@@ -10,7 +10,7 @@ bit-for-bit regardless of how many chains run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,7 @@ class Kernel(Enum):
 
 
 class DivergenceError(FloatingPointError):
-    """An unadjusted update produced a non-finite state."""
+    """An unadjusted update or a relaxation produced a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,13 @@ def _init_rows(model: EnergyModel, cfg: ChainConfig, init, gens) -> np.ndarray:
     return np.array(init, copy=True)
 
 
+# Unchecked, unlike core.kernel_batch: a MALA proposal with a non-finite F is a rejection.
 def _kernel_rows(model, theta, beta, states):
     f = model.energy_batch(theta, states)
     if beta != 0.0:
         f = f + beta * model.loss_batch(states)
     return f
+
 
 def _kernel_grad_rows(model, theta, beta, states):
     g = model.grad_state_energy_batch(theta, states)
@@ -272,6 +274,8 @@ def _run_langevin(model, theta, beta, t, cfg, states, gens):
 
 @dataclass
 class RelaxResult:
+    """End point of a deterministic relaxation: one state, or one row per example."""
+
     state: np.ndarray
     converged: bool
     iterations: int
@@ -300,9 +304,7 @@ def relax_deterministic(
     free = ~model.clamp_mask
     gnorm, iters = np.inf, 0
     for iters in range(1, max_iters + 1):
-        g = model.grad_state_energy(theta, s)
-        if beta != 0.0:
-            g = g + beta * model.grad_state_loss(s)
+        g = _kernel_grad_rows(model, theta, beta, s[None, :])[0]
         gnorm = float(np.max(np.abs(g[free])))
         if not np.isfinite(gnorm):
             raise DivergenceError(f"relaxation diverged at iteration {iters}")

@@ -30,7 +30,7 @@ Backprop has no J; its rows log nan.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,9 @@ from .sampler import ChainConfig, DivergenceError, Kernel, _keep_slots
 
 METHODS = ("ep", "path_integral", "backprop")
 
-CHECKPOINT_VERSION = 1
+# Version 2 writes non-finite history values as null (strict JSON); version 1
+# wrote bare NaN and is still read.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "theta": [float(v) for v in ckpt.theta],
         "velocity": [float(v) for v in ckpt.velocity],
         "config": ckpt.config,
-        "history": ckpt.history,
+        "history": [
+            {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in row.items()}
+            for row in ckpt.history
+        ],
     }
     with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -156,7 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path) as f:
         payload = json.load(f)
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     sizes = tuple(payload["layer_sizes"])
     theta = np.asarray(payload["theta"], dtype=np.float64)
@@ -172,7 +177,10 @@ def load_checkpoint(path) -> Checkpoint:
         theta=theta,
         velocity=velocity,
         config=payload["config"],
-        history=list(payload["history"]),
+        history=[
+            {k: float("nan") if v is None else v for k, v in row.items()}
+            for row in payload["history"]
+        ],
     )
 
 

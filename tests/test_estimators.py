@@ -100,6 +100,13 @@ class TestClassicalEP:
         ep = grad_classical_ep(model, theta, 1.0, 1.0, gibbs_config)
         assert ep.grad.values.tobytes() == contrast.grad.values.tobytes()
         assert ep.method is EstimatorMethod.CLASSICAL_EP
+        # at any other beta it is the beta-contrast rescaled by 1 / beta, bit for bit
+        beta = 0.3
+        contrast = grad_contrast_mc(model, theta, 1.0, gibbs_config, beta=beta)
+        ep = grad_classical_ep(model, theta, 1.0, beta, gibbs_config)
+        assert ep.grad.values.tobytes() == ((1.0 / beta) * contrast.grad.values).tobytes()
+        assert ep.std_err.tobytes() == ((1.0 / beta) * contrast.std_err).tobytes()
+        assert contrast.method is EstimatorMethod.EXPECTATION_CONTRAST
 
     def test_rejects_zero_nudge(self, small_glass, gibbs_config):
         model, theta = small_glass

@@ -1,0 +1,42 @@
+"""Every import in the package source is used.
+
+No linter ships with the project, so this parses each module with ast and
+flags imported names that are never referenced.  A name listed in a
+module's __all__ counts as used (that is how __init__ re-exports).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "thermoep").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_checker_flags_unused_and_honours_all():
+    source = "import os\nimport sys\nfrom json import dumps, loads\n__all__ = ['loads']\nsys.exit()\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

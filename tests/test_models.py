@@ -16,7 +16,7 @@ from thermoep.models import (
     random_spin_glass,
     unpack_layers,
 )
-from thermoep.sampler import relax_deterministic
+from thermoep.sampler import DivergenceError, relax_deterministic
 
 
 def random_spins(rng, m, n):
@@ -207,7 +207,13 @@ class TestLayeredNet:
                 net, theta, 0.0, net.init_state(inputs[i]),
                 step_size=0.5, max_iters=2000, tol=1e-10,
             )
-            np.testing.assert_allclose(result.states[i], ref.state, atol=1e-6)
+            np.testing.assert_allclose(result.state[i], ref.state, atol=1e-6)
+
+    def test_batched_relaxation_divergence_is_typed(self, rng):
+        net, theta = self.make(target=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="diverged"):
+                net.relax_free_batch(theta, rng.random((3, 5)), step=10.0, max_iters=1000)
 
     def test_predict_returns_class_indices(self, rng):
         net, theta = self.make(target=False)

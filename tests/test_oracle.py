@@ -10,7 +10,6 @@ from thermoep.oracle import (
     decomposition_residual,
     enumerate_states,
     exact_dA_dbeta,
-    exact_grad_A_contrast,
     exact_grad_J_contrast,
     exact_grad_J_covariance,
     expected_loss,
@@ -131,9 +130,9 @@ def test_free_energy_slope_in_beta_is_expected_loss(small_glass, beta):
 
 def test_contrast_at_beta_interpolates_endpoints(small_glass):
     model, theta = small_glass
-    g0 = exact_grad_A_contrast(model, theta, 0.0, 1.0)
+    g0 = exact_grad_J_contrast(model, theta, 1.0, beta=0.0)
     np.testing.assert_allclose(g0, np.zeros_like(g0), atol=1e-14)
-    g1 = exact_grad_A_contrast(model, theta, 1.0, 1.0)
+    g1 = exact_grad_J_contrast(model, theta, 1.0, beta=1.0)
     np.testing.assert_allclose(g1, exact_grad_J_contrast(model, theta, 1.0), atol=1e-14)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermoep.core import EvaluationError, kernel_batch
 from thermoep.models import (
     LayeredTanhEnergyNet,
     QuadraticEnergyModel,
@@ -149,6 +150,24 @@ class TestUnadjustedLangevin:
         )
         with pytest.raises(DivergenceError):
             run_chains(model, np.array([5.0]), 0.0, 0.01, cfg)
+
+
+class TestUncheckedProposalKernel:
+    def test_overflowing_proposals_are_rejections(self):
+        # The sampler's kernel has no finiteness check on purpose: a MALA
+        # proposal whose F overflows is rejected, where core.kernel_batch
+        # raises on the same kind of row.
+        model, theta = QuadraticEnergyModel(3), np.array([1.0])
+        cfg = standard_gaussian_config(n_steps=20, n_chains=2, burn_in=5, step_size=1e200)
+        batch = run_chains(model, theta, 0.0, 1.0, cfg)
+        assert batch.acceptance_rate == 0.0
+        assert np.all(np.isfinite(batch.samples))
+        assert any("acceptance rate 0.00" in w for w in batch.warnings)
+
+        start = batch.samples[:1]  # no proposal was accepted, so the chain never moved
+        proposal = start - cfg.step_size * model.grad_state_energy_batch(theta, start)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            kernel_batch(model, theta, 0.0, proposal)
 
 
 class TestClamping:

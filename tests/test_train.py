@@ -97,6 +97,40 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="layer_sizes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("method", ["backprop", "path_integral"])
+    def test_nan_history_is_strict_json(self, tiny_sets, tmp_path, method):
+        train_ds, test_ds = tiny_sets
+        result = train(train_ds, test_ds, quick_config(method=method, epochs=1, n_steps=16))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, result.checkpoint)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["format_version"] == 2
+        assert payload["history"][-1]["beta"] is None
+        assert np.isnan(load_checkpoint(path).history[-1]["beta"])
+
+    def test_version_one_with_bare_nan_resumes(self, tiny_sets, tmp_path):
+        train_ds, test_ds = tiny_sets
+        full_cfg = quick_config(epochs=2)
+        full = train(train_ds, test_ds, full_cfg)
+        half = train(train_ds, test_ds, quick_config(epochs=1))
+        path = tmp_path / "v1.json"
+        save_checkpoint(path, half.checkpoint)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        payload["history"] = [
+            {k: float("nan") if v is None else v for k, v in row.items()}
+            for row in payload["history"]
+        ]
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+
+        resumed = train(train_ds, test_ds, full_cfg, resume=load_checkpoint(path))
+        assert resumed.theta.tobytes() == full.theta.tobytes()
+
 
 class TestReplicaPhaseParity:
     def test_feature_reduction_matches_generic_gradient(self):
