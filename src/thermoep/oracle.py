@@ -101,14 +101,14 @@ def contrastive_objective(model, theta, temperature=1.0) -> float:
 
 
 def _objective_longdouble(model, theta, temperature):
-    """J(theta) in 80-bit arithmetic, for finite-difference baselines.
+    """J(theta) with a long-double log-sum-exp, for finite-difference baselines.
 
     A float64 logsumexp carries ~1e-14 of rounding, which divided by the
     step 2h becomes an absolute noise floor around 5e-10 on any finite
-    difference of J.  Instances whose gradient is itself ~1e-4 then fail
-    a 1e-6 relative comparison for reasons that have nothing to do with
-    the gradient formula, so the baseline is evaluated in extended
-    precision instead.
+    difference of J, enough to fail a 1e-6 relative comparison when the
+    gradient is ~1e-4.  theta arrives as float64; each energy is computed
+    from a long-double theta but returned as a float64 by `energy`, so
+    only the log-sum-exp runs in long double.
     """
     states = enumerate_states(model)
     theta = np.asarray(theta, dtype=np.longdouble)
@@ -293,8 +293,7 @@ def run_consistency_suite(
 
         grad = exact_grad_J_contrast(model, theta, t)
         fd = central_difference_grad(
-            lambda th: _objective_longdouble(model, th, t),
-            theta.astype(np.longdouble), fd_step,
+            lambda th: _objective_longdouble(model, th, t), theta, fd_step
         )
         worst_contrast = max(
             worst_contrast,

@@ -4,8 +4,13 @@ All kernels target rho_beta(s) proportional to exp(-F(theta, beta, s)/T)
 and respect the model's clamp mask: clamped coordinates keep their
 initial values for the whole run.  Chains are advanced in lockstep as
 rows of a (n_chains, state_dim) array, each chain consuming its own RNG
-stream derived from (seed, chain_index), so results are reproducible
-bit-for-bit regardless of how many chains run.
+stream derived from (seed, chain_index), so every chain draws the same
+numbers however many chains run.  For the bundled quadratic and
+spin-glass models the first k chains of a run are bit-identical to a
+k-chain run; for the layered net they agree only to rounding, because a
+BLAS matrix product over the rows rounds differently with the row count.
+The continuous kernels share one Langevin loop, langevin(), which the
+trainer also drives.
 """
 
 from __future__ import annotations
@@ -218,58 +223,69 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
 
 
 def _run_langevin(model, theta, beta, t, cfg, states, gens):
+    free = ~model.clamp_mask
+    kept = np.empty((cfg.n_chains, cfg.n_kept, model.state_dim))
+    kept[:, :, ~free] = states[:, None, ~free]
+
+    def kernel(z):
+        states[:, free] = z
+        return (_kernel_rows(model, theta, beta, states),
+                _kernel_grad_rows(model, theta, beta, states)[:, free])
+
+    def keep(slot, z):
+        kept[:, slot, free] = z
+
+    n_accept = langevin(kernel, states[:, free], gens, cfg, t, keep)
+    adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
+    return kept, n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None
+
+
+def langevin(kernel, z, gens, cfg: ChainConfig, temperature: float, keep) -> int:
+    """Advance the free block z (rows x free coordinates) by cfg.n_steps Langevin steps.
+
+    kernel(z) returns F and dF/dz per row; keep(slot, z) is called at
+    every kept step.  Row r draws its noise, then its accept uniform,
+    from gens[r].  The adjusted kernel applies a Metropolis-Hastings
+    test and returns the number of accepted proposals; the unadjusted
+    kernel accepts every finite proposal and returns 0.
+    """
     adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     eta = cfg.step_size
-    free = ~model.clamp_mask
-    n_free = int(free.sum())
+    eta_t = eta / temperature
     scale = np.sqrt(2.0 * eta)
-    kept = np.empty((cfg.n_chains, cfg.n_kept, model.state_dim))
+    n_free = z.shape[1]
     slots = _keep_slots(cfg)
-
-    grad = _kernel_grad_rows(model, theta, beta, states)
-    f_cur = _kernel_rows(model, theta, beta, states) if adjusted else None
+    f_cur, grad = kernel(z)
     n_accept = 0
     for step in range(cfg.n_steps):
-        noise = np.zeros_like(states)
-        noise[:, free] = np.stack([g.standard_normal(n_free) for g in gens])
-        drift = np.zeros_like(states)
+        noise = np.stack([g.standard_normal(n_free) for g in gens])
         with np.errstate(invalid="ignore", over="ignore"):
-            drift[:, free] = -(eta / t) * grad[:, free]
-            proposal = states + drift + scale * noise
-
-        if not adjusted:
-            if not np.all(np.isfinite(proposal)):
-                raise DivergenceError(
-                    f"state became non-finite at step {step}; reduce step_size={eta}"
-                )
-            states = proposal
-            with np.errstate(invalid="ignore", over="ignore"):
-                grad = _kernel_grad_rows(model, theta, beta, states)
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                f_prop = _kernel_rows(model, theta, beta, proposal)
+            proposal = z - eta_t * grad + scale * noise
+            if not adjusted:
+                if not np.all(np.isfinite(proposal)):
+                    raise DivergenceError(
+                        f"state became non-finite at step {step}; reduce step_size={eta}"
+                    )
+                z = proposal
+                _, grad = kernel(z)
+            else:
+                f_prop, grad_prop = kernel(proposal)
                 f_prop = np.where(np.isfinite(f_prop), f_prop, np.inf)
-                grad_prop = _kernel_grad_rows(model, theta, beta, proposal)
-                drift_prop = np.zeros_like(states)
-                drift_prop[:, free] = -(eta / t) * grad_prop[:, free]
-                fwd = proposal - states - drift
-                rev = states - proposal - drift_prop
-                log_q_fwd = -np.sum(fwd[:, free] ** 2, axis=1) / (4.0 * eta)
-                log_q_rev = -np.sum(rev[:, free] ** 2, axis=1) / (4.0 * eta)
-                log_alpha = -(f_prop - f_cur) / t + log_q_rev - log_q_fwd
-            log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
-            u = np.array([g.random() for g in gens])
-            accept = np.log(u) < log_alpha
-            n_accept += int(accept.sum())
-            states[accept] = proposal[accept]
-            f_cur = np.where(accept, f_prop, f_cur)
-            grad[accept] = grad_prop[accept]
-
+                fwd = proposal - z + eta_t * grad
+                rev = z - proposal + eta_t * grad_prop
+                log_q_fwd = -np.einsum("ij,ij->i", fwd, fwd) / (4.0 * eta)
+                log_q_rev = -np.einsum("ij,ij->i", rev, rev) / (4.0 * eta)
+                log_alpha = -(f_prop - f_cur) / temperature + log_q_rev - log_q_fwd
+                log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
+                accept = np.log([g.random() for g in gens]) < log_alpha
+                n_accept += int(accept.sum())
+                z[accept] = proposal[accept]
+                f_cur = np.where(accept, f_prop, f_cur)
+                grad[accept] = grad_prop[accept]
         slot = slots.get(step)
         if slot is not None:
-            kept[:, slot, :] = states
-    acc = n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None
-    return kept, acc
+            keep(slot, z)
+    return n_accept
 
 
 @dataclass

@@ -13,12 +13,13 @@ layout:
 
 Minibatches are sampled as one replica block: every (example, chain)
 pair is a row advancing under MALA in lockstep, with its own RNG stream
-derived from (seed, epoch, batch, phase, row).  Because dE/dtheta for
-the layered net is linear in the features (x (x) tanh h, tanh h (x)
-tanh o, tanh h, tanh o), per-example phase statistics are accumulated
-in feature space and turned into gradients with a couple of matmuls.
-The reduction is checked against the generic per-example estimators in
-the test suite.
+derived from (seed, epoch, batch, phase, row).  The trainer supplies a
+kernel and feature statistics to the sampler's Langevin loop.  Because
+dE/dtheta for the layered net is linear in the features (x (x) tanh h,
+tanh h (x) tanh o, tanh h, tanh o), per-example phase statistics are
+accumulated in feature space and turned into gradients with a couple of
+matmuls.  The reduction is checked against the generic per-example
+estimators in the test suite.
 
 Per-epoch J is logged through its thermodynamic form, the integral over
 beta of the expected loss, estimated on the nudge levels the method
@@ -30,6 +31,7 @@ Backprop has no J; its rows log nan.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,7 +55,7 @@ from .rng import (
     derive_seed,
     make_generator,
 )
-from .sampler import ChainConfig, DivergenceError, Kernel, _keep_slots
+from .sampler import ChainConfig, DivergenceError, Kernel, langevin
 
 METHODS = ("ep", "path_integral", "backprop")
 
@@ -103,6 +105,11 @@ class TrainConfig:
             raise ValueError("n_hidden and n_chains must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # a relaxation step maps z to (1 - s) z + s * (a bounded drive): bounded only for |1 - s| < 1
+        if not (0.0 < self.relax_step < 2.0):
+            raise ValueError("relax_step must lie in (0, 2)")
+        if self.relax_iters < 1:
+            raise ValueError("relax_iters must be >= 1")
         # remaining sampler fields are validated by ChainConfig
         self.chain_config()
 
@@ -152,9 +159,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             for row in ckpt.history
         ],
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    tmp = f"{os.fspath(path)}.tmp"  # renamed over the target, so a failed write keeps the old file
+    try:
+        with open(tmp, "w") as f:
+            json.dump(payload, f, indent=1, sort_keys=True, allow_nan=False)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -213,7 +228,6 @@ class PhaseStats:
     sum_lth: np.ndarray | None = None
     sum_lto: np.ndarray | None = None
     sum_lcross: np.ndarray | None = None
-    raw: tuple | None = None  # (H_rows, O_rows) kept blocks, debug only
 
     def mean_loss(self) -> np.ndarray:
         return self.sum_loss / self.n_rows
@@ -230,6 +244,39 @@ class PhaseStats:
         return c_th, c_to, c_cross
 
 
+def _phase_kernel(net: LayeredTanhEnergyNet, theta, inputs, targets, beta: float, copies: int):
+    """F and dF/d(h, o) for `copies` rows per example, as a langevin kernel.
+
+    Rows hold the free block (h, o); the input drive x @ W1 + b_h is
+    constant per row and computed once.
+    """
+    w1, w2, b_h, b_o = unpack_layers(theta, net.n_in, net.n_hidden, net.n_out)
+    drive = np.repeat(inputs @ w1 + b_h, copies, axis=0)
+    tg = np.repeat(targets, copies, axis=0)
+    nh = net.n_hidden
+
+    def kernel(z):
+        h, o = z[:, :nh].copy(), z[:, nh:].copy()  # contiguous blocks: faster ufuncs
+        th, to = np.tanh(h), np.tanh(o)
+        th_w2 = th @ w2
+        f = (
+            0.5 * np.einsum("ij,ij->i", h, h)
+            + 0.5 * np.einsum("ij,ij->i", o, o)
+            - np.einsum("ij,ij->i", th, drive)
+            - np.einsum("ij,ij->i", to, th_w2)
+            - to @ b_o
+        )
+        g_h = h - (1.0 - th**2) * (drive + to @ w2.T)
+        g_o = o - (1.0 - to**2) * (th_w2 + b_o)
+        if beta != 0.0:
+            d = o - tg
+            f = f + beta * 0.5 * np.einsum("ij,ij->i", d, d)
+            g_o = g_o + beta * d
+        return f, np.concatenate([g_h, g_o], axis=1)
+
+    return kernel
+
+
 def _sample_phase(
     net: LayeredTanhEnergyNet,
     theta: np.ndarray,
@@ -241,52 +288,17 @@ def _sample_phase(
     seed: int,
     path: tuple[int, ...],
     need_cov: bool = False,
-    keep_raw: bool = False,
 ) -> PhaseStats:
     """MALA over the (h, o) blocks of a whole minibatch replica array.
 
     Row r = example_slot * n_chains + chain advances with generator
-    (seed, *path, r).  The input drive x @ W1 + b_h is constant per row
-    and hoisted out of the step loop.
+    (seed, *path, r), starting from zero; every kept row adds its
+    features to the example's sums.
     """
-    w1, w2, b_h, b_o = unpack_layers(theta, net.n_in, net.n_hidden, net.n_out)
-    b = len(inputs)
-    c = chain.n_chains
-    rows = b * c
-    t = temperature
-    eta = chain.step_size
-    scale = np.sqrt(2.0 * eta)
+    b, c = len(inputs), chain.n_chains
     nh, no = net.n_hidden, net.n_out
-
-    drive = np.repeat(inputs @ w1 + b_h, c, axis=0)
-    tg = np.repeat(targets, c, axis=0)
-    gens = [make_generator(seed, *path, r) for r in range(rows)]
-
-    def kernel_and_grads(h, o):
-        th, to = np.tanh(h), np.tanh(o)
-        f = (
-            0.5 * np.einsum("ij,ij->i", h, h)
-            + 0.5 * np.einsum("ij,ij->i", o, o)
-            - np.einsum("ij,ij->i", th, drive)
-            - np.einsum("ij,ij->i", to, th @ w2)
-            - to @ b_o
-        )
-        g_h = h - (1.0 - th**2) * (drive + to @ w2.T)
-        g_o = o - (1.0 - to**2) * (th @ w2 + b_o)
-        if beta != 0.0:
-            d = o - tg
-            f = f + beta * 0.5 * np.einsum("ij,ij->i", d, d)
-            g_o = g_o + beta * d
-        return f, g_h, g_o
-
-    h = np.zeros((rows, nh))
-    o = np.zeros((rows, no))
-    f_cur, gh_cur, go_cur = kernel_and_grads(h, o)
-
-    slots = _keep_slots(chain)
-    n_kept = chain.n_kept
     stats = PhaseStats(
-        n_rows=c * n_kept,
+        n_rows=c * chain.n_kept,
         sum_th=np.zeros((b, nh)),
         sum_to=np.zeros((b, no)),
         sum_cross=np.zeros((b, nh, no)),
@@ -294,53 +306,26 @@ def _sample_phase(
         sum_lth=np.zeros((b, nh)) if need_cov else None,
         sum_lto=np.zeros((b, no)) if need_cov else None,
         sum_lcross=np.zeros((b, nh, no)) if need_cov else None,
-        raw=([], []) if keep_raw else None,
     )
 
-    for step in range(chain.n_steps):
-        noise = np.stack([g.standard_normal(nh + no) for g in gens])
-        h_prop = h - (eta / t) * gh_cur + scale * noise[:, :nh]
-        o_prop = o - (eta / t) * go_cur + scale * noise[:, nh:]
-        with np.errstate(invalid="ignore", over="ignore"):
-            f_prop, gh_prop, go_prop = kernel_and_grads(h_prop, o_prop)
-            f_prop = np.where(np.isfinite(f_prop), f_prop, np.inf)
-            fwd_h = h_prop - h + (eta / t) * gh_cur
-            fwd_o = o_prop - o + (eta / t) * go_cur
-            rev_h = h - h_prop + (eta / t) * gh_prop
-            rev_o = o - o_prop + (eta / t) * go_prop
-            log_q_fwd = -(
-                np.einsum("ij,ij->i", fwd_h, fwd_h) + np.einsum("ij,ij->i", fwd_o, fwd_o)
-            ) / (4.0 * eta)
-            log_q_rev = -(
-                np.einsum("ij,ij->i", rev_h, rev_h) + np.einsum("ij,ij->i", rev_o, rev_o)
-            ) / (4.0 * eta)
-            log_alpha = -(f_prop - f_cur) / t + log_q_rev - log_q_fwd
-        log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
-        u = np.array([g.random() for g in gens])
-        accept = np.log(u) < log_alpha
-        h[accept] = h_prop[accept]
-        o[accept] = o_prop[accept]
-        f_cur = np.where(accept, f_prop, f_cur)
-        gh_cur[accept] = gh_prop[accept]
-        go_cur[accept] = go_prop[accept]
-
-        if slots.get(step) is None:
-            continue
+    def keep(slot, z):
+        h, o = z[:, :nh].copy(), z[:, nh:].copy()
         th = np.tanh(h).reshape(b, c, nh)
         to = np.tanh(o).reshape(b, c, no)
         stats.sum_th += th.sum(axis=1)
         stats.sum_to += to.sum(axis=1)
         stats.sum_cross += np.einsum("bch,bco->bho", th, to)
-        d = (o - tg).reshape(b, c, no)
+        d = o.reshape(b, c, no) - targets[:, None, :]
         losses = 0.5 * np.einsum("bcj,bcj->bc", d, d)
         stats.sum_loss += losses.sum(axis=1)
         if need_cov:
             stats.sum_lth += np.einsum("bc,bch->bh", losses, th)
             stats.sum_lto += np.einsum("bc,bco->bo", losses, to)
             stats.sum_lcross += np.einsum("bc,bch,bco->bho", losses, th, to)
-        if keep_raw:
-            stats.raw[0].append(h.copy())
-            stats.raw[1].append(o.copy())
+
+    gens = [make_generator(seed, *path, r) for r in range(b * c)]
+    kernel = _phase_kernel(net, theta, inputs, targets, beta, c)
+    langevin(kernel, np.zeros((b * c, nh + no)), gens, chain, temperature, keep)
     return stats
 
 

@@ -196,6 +196,13 @@ class TestTrainCommand:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_unstable_relaxation_step_is_a_config_error(self, tiny_cfg, tmp_path, capsys):
+        cfg = tmp_path / "relax.cfg"
+        cfg.write_text(BLOBS_TINY + "relax_step = 10\n")
+        code = run("train", "--config", cfg, "--out", tmp_path / "run", "--method", "backprop")
+        assert code == 2
+        assert "relax_step" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_writes_curves(self, tiny_cfg, tmp_path, capsys):

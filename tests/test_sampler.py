@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,40 @@ class TestClamping:
             batch.samples[:, :4], np.broadcast_to(x, (batch.samples.shape[0], 4))
         )
         assert batch.samples[:, 4:].std() > 0
+
+
+class TestChainCount:
+    """Chain c draws from stream (seed, c), so a k-chain run is a prefix of a larger one."""
+
+    @staticmethod
+    def prefix(batch, k):
+        return batch.per_chain()[:k].reshape(-1, batch.samples.shape[1])
+
+    def test_quadratic_and_gibbs_prefixes_are_byte_equal(self, small_glass):
+        quad = QuadraticEnergyModel(4, loss_vector=[1.0, -0.5, 0.0, 0.2])
+        glass, glass_theta = small_glass
+        runs = [
+            (quad, np.array([1.3]), standard_gaussian_config(n_steps=200, burn_in=50, seed=9)),
+            (glass, glass_theta, ChainConfig(
+                n_steps=60, n_chains=8, burn_in=10, kernel=Kernel.GIBBS_SWEEP, seed=9)),
+        ]
+        for model, theta, cfg in runs:
+            full = run_chains(model, theta, 0.5, 1.0, cfg)
+            for k in (1, 3):
+                small = run_chains(model, theta, 0.5, 1.0, replace(cfg, n_chains=k))
+                assert small.samples.tobytes() == self.prefix(full, k).tobytes()
+
+    def test_layered_net_prefix_agrees_to_rounding(self):
+        # the input drive is a BLAS product over the rows, whose rounding
+        # depends on the row count
+        net = LayeredTanhEnergyNet(784, 32, 10, target=np.eye(10)[3])
+        theta = init_layer_params(784, 32, 10, seed=0).values
+        init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 784))
+        cfg = standard_gaussian_config(n_steps=60, burn_in=20, step_size=0.02, seed=9)
+        full = run_chains(net, theta, 0.5, 0.1, cfg, init)
+        for k in (1, 3):
+            small = run_chains(net, theta, 0.5, 0.1, replace(cfg, n_chains=k), init)
+            np.testing.assert_allclose(small.samples, self.prefix(full, k), rtol=0, atol=1e-12)
 
 
 class TestSampleBatch:

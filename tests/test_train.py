@@ -5,11 +5,12 @@ import pytest
 
 from thermoep.data import one_hot, train_test_blobs
 from thermoep.models import LayeredTanhEnergyNet, init_layer_params
-from thermoep.rng import INIT_STREAM, derive_seed
-from thermoep.sampler import DivergenceError
+from thermoep.rng import INIT_STREAM, derive_seed, make_generator
+from thermoep.sampler import DivergenceError, _kernel_grad_rows, _kernel_rows, langevin
 from thermoep.train import (
     Checkpoint,
     TrainConfig,
+    _phase_kernel,
     _sample_phase,
     _stats_grad,
     load_checkpoint,
@@ -50,6 +51,11 @@ class TestTrainConfig:
             quick_config(n_nodes=1)
         with pytest.raises(ValueError):
             quick_config(burn_in=24)  # >= n_steps, caught by the chain config
+        for bad in (0.0, 2.0, 10.0):
+            with pytest.raises(ValueError, match="relax_step"):
+                quick_config(relax_step=bad)
+        with pytest.raises(ValueError, match="relax_iters"):
+            quick_config(relax_iters=0)
 
     def test_dict_round_trip(self):
         cfg = quick_config(method="ep", beta=0.5)
@@ -78,6 +84,21 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(back.velocity, ckpt.velocity)
         assert back.config == ckpt.config
         assert back.history == ckpt.history
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, self._checkpoint())
+        before = path.read_bytes()
+
+        def broken_dump(obj, f, **kwargs):
+            f.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self._checkpoint())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -145,7 +166,7 @@ class TestReplicaPhaseParity:
 
         stats = _sample_phase(
             net, theta, inputs, targets, 0.4, cfg.temperature, chain,
-            seed=5, path=(1, 2), keep_raw=True,
+            seed=5, path=(1, 2),
         )
         fast = _stats_grad(
             inputs,
@@ -154,18 +175,47 @@ class TestReplicaPhaseParity:
             stats.sum_cross / stats.n_rows,
         )
 
+        # replay the phase on the same row streams, keeping every (h, o) row
+        c = chain.n_chains
+        rows = []
+        gens = [make_generator(5, 1, 2, r) for r in range(len(inputs) * c)]
+        langevin(
+            _phase_kernel(net, theta, inputs, targets, 0.4, c),
+            np.zeros((len(inputs) * c, 4 + 3)), gens, chain, cfg.temperature,
+            lambda slot, z: rows.append(z.copy()),
+        )
+
         # every example owns the same number of rows, so the grand row mean
         # equals the mean over examples of per-example row means
-        c = chain.n_chains
         total = np.zeros_like(theta)
         count = 0
-        for h_block, o_block in zip(*stats.raw):
-            states = np.concatenate(
-                [np.repeat(inputs, c, axis=0), h_block, o_block], axis=1
-            )
+        for block in rows:
+            states = np.concatenate([np.repeat(inputs, c, axis=0), block], axis=1)
             total += net.grad_theta_energy_sum(theta, states)
             count += len(states)
         np.testing.assert_allclose(fast, total / count, atol=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_phase_kernel_matches_model_kernel(self, beta):
+        """The trainer's hoisted F and dF/d(h, o) equal the model's on full rows."""
+        net = LayeredTanhEnergyNet(6, 4, 3)
+        theta = init_layer_params(6, 4, 3, seed=0).values
+        rng = np.random.default_rng(2)
+        inputs = rng.uniform(0.0, 1.0, size=(3, 6))
+        targets = one_hot([2, 0, 1], 3)
+        z = rng.normal(size=(6, 4 + 3))
+        f, g = _phase_kernel(net, theta, inputs, targets, beta, copies=2)(z)
+        free = ~net.clamp_mask
+        for i in range(3):
+            model = net.with_target(targets[i])
+            mine = slice(2 * i, 2 * i + 2)
+            full = np.concatenate([np.repeat(inputs[i : i + 1], 2, axis=0), z[mine]], axis=1)
+            np.testing.assert_allclose(
+                f[mine], _kernel_rows(model, theta, beta, full), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                g[mine], _kernel_grad_rows(model, theta, beta, full)[:, free], rtol=0, atol=1e-12
+            )
 
     def test_kept_row_count(self):
         net = LayeredTanhEnergyNet(4, 3, 2)
