@@ -1,9 +1,10 @@
 """Exact reference values by brute-force enumeration of discrete models.
 
-For a binary model with n sites the 2^n states are enumerated once and
-all Gibbs quantities (partition function, free energy, expectations,
-both gradient representations of the contrastive objective, KL terms,
-variational bounds) are computed in log space from the full table.
+For a binary model with n sites the 2^n states, their energies and their
+losses are tabulated once per (model, theta) in an EnergyTable, and all
+Gibbs quantities (partition function, free energy, expectations, both
+gradient representations of the contrastive objective, KL terms,
+variational bounds) are computed in log space from that table.
 These are the ground truth every estimator is measured against, so this
 module deliberately stays simple: plain sums over the state table, with
 a single max-shifted log-sum-exp for numerical safety.
@@ -12,17 +13,18 @@ a single max-shifted log-sum-exp for numerical safety.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     EPS_ABS,
     EnergyModel,
+    EvaluationError,
     StateKind,
     as_nudge,
     as_temperature,
     central_difference_grad,
-    kernel_batch,
 )
 from .estimators import QuadratureSpec
 from .models import random_spin_glass
@@ -75,14 +77,132 @@ class GibbsTable:
         return self.probs @ np.asarray(values, dtype=np.float64)
 
 
+# Trapezoid grids nest (every node of a grid is a node of the next), so the
+# ladder costs one covariance per node of its finest grid.
+QUADRATURE_LADDER = (5, 9, 17, 33, 65, 129, 257)
+
+
+@dataclass(frozen=True)
+class EnergyTable:
+    """Every state of a binary model with its energy and loss at one theta.
+
+    Built once per (model, theta) from one energy_batch and one loss_batch
+    call.  Every exact quantity, at any beta, temperature, quadrature node
+    or trial distribution, reads this table instead of re-enumerating.
+    """
+
+    model: EnergyModel
+    theta: np.ndarray
+    states: np.ndarray
+    energies: np.ndarray
+    losses: np.ndarray
+
+    @classmethod
+    def build(cls, model: EnergyModel, theta) -> "EnergyTable":
+        theta = model.validate_theta(theta)
+        states = enumerate_states(model)
+        energies = model.energy_batch(theta, states)
+        if not np.isfinite(energies).all():
+            raise EvaluationError("energy evaluated to a non-finite value in a batch")
+        return cls(model, theta, states, energies, model.loss_batch(states))
+
+    @cached_property
+    def _finite_losses(self) -> bool:
+        return bool(np.isfinite(self.losses).all())
+
+    def kernel(self, beta: float) -> np.ndarray:
+        """F(theta, beta, s) per state.
+
+        As in core.kernel_batch, the losses must be finite only when beta != 0.
+        """
+        if beta == 0.0:
+            return self.energies
+        if not self._finite_losses:
+            raise EvaluationError("loss evaluated to a non-finite value in a batch")
+        return self.energies + beta * self.losses
+
+    def gibbs(self, beta, temperature=1.0) -> GibbsTable:
+        beta = as_nudge(beta)
+        t = as_temperature(temperature)
+        logw = -self.kernel(beta) / t
+        log_z = _logsumexp(logw)
+        return GibbsTable(self.states, logw - log_z, log_z, beta, t)
+
+    def free_energy(self, beta, temperature=1.0) -> float:
+        t = as_temperature(temperature)
+        return -t * self.gibbs(beta, t).log_z
+
+    def objective(self, temperature=1.0) -> float:
+        return self.free_energy(1.0, temperature) - self.free_energy(0.0, temperature)
+
+    def expected_loss(self, beta, temperature=1.0) -> float:
+        return float(self.gibbs(beta, temperature).expectation(self.losses))
+
+    def _grad_sum(self, weights: np.ndarray) -> np.ndarray:
+        return self.model.grad_theta_energy_sum(self.theta, self.states, weights=weights)
+
+    def grad_contrast(self, temperature=1.0, beta=1.0) -> np.ndarray:
+        g_b = self._grad_sum(self.gibbs(beta, temperature).probs)
+        g_0 = self._grad_sum(self.gibbs(0.0, temperature).probs)
+        return g_b - g_0
+
+    def loss_energy_covariance(self, beta, temperature=1.0) -> np.ndarray:
+        probs = self.gibbs(beta, temperature).probs
+        mean_loss = float(probs @ self.losses)
+        return self._grad_sum(probs * self.losses) - mean_loss * self._grad_sum(probs)
+
+    def _grad_covariance(self, t: float, quad: QuadratureSpec, covariances: dict) -> np.ndarray:
+        """-(1/T) sum_k w_k Cov_k, reusing the covariances already at hand by node."""
+        total = np.zeros(self.model.param_dim)
+        for node, weight in zip(quad.nodes, quad.weights):
+            if node not in covariances:
+                covariances[node] = self.loss_energy_covariance(node, t)
+            total += weight * covariances[node]
+        return -total / t
+
+    def quadrature_order(self, temperature=1.0, node_counts=QUADRATURE_LADDER) -> float:
+        t = as_temperature(temperature)
+        reference = self.grad_contrast(t)
+        covariances, spacings, errors = {}, [], []
+        for k in node_counts:
+            approx = self._grad_covariance(t, QuadratureSpec.trapezoid(k), covariances)
+            err = float(np.max(np.abs(approx - reference)))
+            if err < 1e-12:
+                continue
+            spacings.append(1.0 / (k - 1))
+            errors.append(err)
+        if len(errors) < 2:
+            return np.inf
+        return float(
+            np.log(errors[-2] / errors[-1]) / np.log(spacings[-2] / spacings[-1])
+        )
+
+    def kl_nudged_free(self, temperature=1.0) -> float:
+        t1 = self.gibbs(1.0, temperature)
+        t0 = self.gibbs(0.0, temperature)
+        return float(t1.expectation(t1.log_probs - t0.log_probs))
+
+    def decomposition_residual(self, temperature=1.0) -> float:
+        t = as_temperature(temperature)
+        j = self.objective(t)
+        return j - (self.expected_loss(1.0, t) + t * self.kl_nudged_free(t))
+
+    def variational_free_energy(self, beta, temperature, q) -> float:
+        beta = as_nudge(beta)
+        t = as_temperature(temperature)
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (len(self.states),):
+            raise ValueError(f"trial distribution must have one weight per state ({len(self.states)})")
+        if np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-9:
+            raise ValueError("trial distribution must be non-negative and sum to 1")
+        mean_f = float(q @ self.kernel(beta))
+        nonzero = q > 0.0
+        entropy = float(-(q[nonzero] @ np.log(q[nonzero])))
+        return mean_f - t * entropy
+
+
 def gibbs_table(model: EnergyModel, theta, beta, temperature=1.0) -> GibbsTable:
-    beta = as_nudge(beta)
-    t = as_temperature(temperature)
-    theta = model.validate_theta(theta)
-    states = enumerate_states(model)
-    logw = -kernel_batch(model, theta, beta, states) / t
-    log_z = _logsumexp(logw)
-    return GibbsTable(states, logw - log_z, log_z, beta, t)
+    return EnergyTable.build(model, theta).gibbs(beta, temperature)
 
 
 def log_partition_function(model, theta, beta, temperature=1.0) -> float:
@@ -91,30 +211,30 @@ def log_partition_function(model, theta, beta, temperature=1.0) -> float:
 
 def free_energy(model, theta, beta, temperature=1.0) -> float:
     """A(theta, beta) = -T log Z_beta."""
-    t = as_temperature(temperature)
-    return -t * log_partition_function(model, theta, beta, t)
+    return EnergyTable.build(model, theta).free_energy(beta, temperature)
 
 
 def contrastive_objective(model, theta, temperature=1.0) -> float:
     """J(theta) = A(theta, 1) - A(theta, 0)."""
-    return free_energy(model, theta, 1.0, temperature) - free_energy(model, theta, 0.0, temperature)
+    return EnergyTable.build(model, theta).objective(temperature)
 
 
-def _objective_longdouble(model, theta, temperature):
+def _objective_longdouble(table: EnergyTable, theta, temperature):
     """J(theta) with a long-double log-sum-exp, for finite-difference baselines.
 
     A float64 logsumexp carries ~1e-14 of rounding, which divided by the
     step 2h becomes an absolute noise floor around 5e-10 on any finite
     difference of J, enough to fail a 1e-6 relative comparison when the
-    gradient is ~1e-4.  theta arrives as float64; each energy is computed
-    from a long-double theta but returned as a float64 by `energy`, so
+    gradient is ~1e-4.  theta arrives as float64.  One energy_batch call
+    over the table's states at a long-double theta gives every energy;
+    each is rounded to float64 and widened back, as a per-state float64
+    energy would be, and the losses are the table's float64 losses.  So
     only the log-sum-exp runs in long double.
     """
-    states = enumerate_states(model)
     theta = np.asarray(theta, dtype=np.longdouble)
     t = np.longdouble(as_temperature(temperature))
-    e = np.array([model.energy(theta, s) for s in states], dtype=np.longdouble)
-    l = np.array([model.loss(s) for s in states], dtype=np.longdouble)
+    e = table.model.energy_batch(theta, table.states).astype(np.float64).astype(np.longdouble)
+    l = table.losses.astype(np.longdouble)
 
     def a(beta):
         logw = -(e + beta * l) / t
@@ -125,17 +245,12 @@ def _objective_longdouble(model, theta, temperature):
 
 
 def expected_loss(model, theta, beta, temperature=1.0) -> float:
-    table = gibbs_table(model, theta, beta, temperature)
-    return float(table.expectation(model.loss_batch(table.states)))
+    return EnergyTable.build(model, theta).expected_loss(beta, temperature)
 
 
 def exact_dA_dbeta(model, theta, beta, temperature=1.0) -> float:
     """dA/dbeta = E_rho_beta[l]; identical to expected_loss by the identity."""
     return expected_loss(model, theta, beta, temperature)
-
-
-def _mean_grad_theta(model, theta, table: GibbsTable) -> np.ndarray:
-    return model.grad_theta_energy_sum(theta, table.states, weights=table.probs)
 
 
 def exact_grad_J_contrast(model, theta, temperature=1.0, beta=1.0) -> np.ndarray:
@@ -144,21 +259,12 @@ def exact_grad_J_contrast(model, theta, temperature=1.0, beta=1.0) -> np.ndarray
     The gradient of A(theta, beta) - A(theta, 0); at the default beta = 1
     it is grad J.
     """
-    theta = model.validate_theta(theta)
-    g_b = _mean_grad_theta(model, theta, gibbs_table(model, theta, beta, temperature))
-    g_0 = _mean_grad_theta(model, theta, gibbs_table(model, theta, 0.0, temperature))
-    return g_b - g_0
+    return EnergyTable.build(model, theta).grad_contrast(temperature, beta)
 
 
 def exact_loss_energy_covariance(model, theta, beta, temperature=1.0) -> np.ndarray:
     """Cov_rho_beta[l, dE/dtheta], one entry per parameter."""
-    theta = model.validate_theta(theta)
-    table = gibbs_table(model, theta, beta, temperature)
-    losses = model.loss_batch(table.states)
-    mean_loss = float(table.expectation(losses))
-    mean_grad = _mean_grad_theta(model, theta, table)
-    cross = model.grad_theta_energy_sum(theta, table.states, weights=table.probs * losses)
-    return cross - mean_loss * mean_grad
+    return EnergyTable.build(model, theta).loss_energy_covariance(beta, temperature)
 
 
 def exact_grad_J_covariance(
@@ -170,52 +276,36 @@ def exact_grad_J_covariance(
     """
     t = as_temperature(temperature)
     quad = quadrature if quadrature is not None else QuadratureSpec.trapezoid(33)
-    total = np.zeros(model.param_dim)
-    for node, weight in zip(quad.nodes, quad.weights):
-        total += weight * exact_loss_energy_covariance(model, theta, node, t)
-    return -total / t
+    return EnergyTable.build(model, theta)._grad_covariance(t, quad, {})
 
 
 def quadrature_convergence_order(
-    model, theta, temperature=1.0, node_counts=(5, 9, 17, 33)
+    model, theta, temperature=1.0, node_counts=QUADRATURE_LADDER
 ) -> float:
     """Observed order of the trapezoid discretisation against the exact gradient.
 
     Takes the classic refinement estimate log(e_coarse/e_fine) / log(ratio)
     on the finest grid pair whose errors are still above round-off.  The
-    finest pair is the asymptotic one; a global fit would let a coarse
-    grid with an accidentally cancelling error drag the slope below the
+    trapezoid error is c2 h^2 + c4 h^4 + ...; when c2 is small the two
+    terms cancel near some h and the error changes sign there, so a grid
+    pair that straddles that crossover can read any order (one 3-spin
+    instance reads -0.75 on 17/33 and 1.98 on 129/257).  The ladder
+    therefore runs to 257 nodes, where h^2 dominates on every instance
+    scanned.  A global fit would let such a pair drag the slope below the
     true order.  Returns inf when everything is already at round-off
     (order unmeasurable, counts as converged).
     """
-    reference = exact_grad_J_contrast(model, theta, temperature)
-    spacings, errors = [], []
-    for k in node_counts:
-        approx = exact_grad_J_covariance(model, theta, temperature, QuadratureSpec.trapezoid(k))
-        err = float(np.max(np.abs(approx - reference)))
-        if err < 1e-12:
-            continue
-        spacings.append(1.0 / (k - 1))
-        errors.append(err)
-    if len(errors) < 2:
-        return np.inf
-    return float(
-        np.log(errors[-2] / errors[-1]) / np.log(spacings[-2] / spacings[-1])
-    )
+    return EnergyTable.build(model, theta).quadrature_order(temperature, node_counts)
 
 
 def kl_nudged_free(model, theta, temperature=1.0) -> float:
     """KL(rho_1 || rho_0), computed in log space from the two tables."""
-    t1 = gibbs_table(model, theta, 1.0, temperature)
-    t0 = gibbs_table(model, theta, 0.0, temperature)
-    return float(t1.expectation(t1.log_probs - t0.log_probs))
+    return EnergyTable.build(model, theta).kl_nudged_free(temperature)
 
 
 def decomposition_residual(model, theta, temperature=1.0) -> float:
     """J - (E_rho1[l] + T * KL(rho1 || rho0)); exactly zero in theory."""
-    t = as_temperature(temperature)
-    j = contrastive_objective(model, theta, t)
-    return j - (expected_loss(model, theta, 1.0, t) + t * kl_nudged_free(model, theta, t))
+    return EnergyTable.build(model, theta).decomposition_residual(temperature)
 
 
 def variational_free_energy(model, theta, beta, temperature=1.0, q=None) -> float:
@@ -224,19 +314,7 @@ def variational_free_energy(model, theta, beta, temperature=1.0, q=None) -> floa
     Minimised (over all q) exactly at the Gibbs distribution, where it
     equals A(theta, beta).
     """
-    beta = as_nudge(beta)
-    t = as_temperature(temperature)
-    theta = model.validate_theta(theta)
-    states = enumerate_states(model)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (len(states),):
-        raise ValueError(f"trial distribution must have one weight per state ({len(states)})")
-    if np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("trial distribution must be non-negative and sum to 1")
-    mean_f = float(q @ kernel_batch(model, theta, beta, states))
-    nonzero = q > 0.0
-    entropy = float(-(q[nonzero] @ np.log(q[nonzero])))
-    return mean_f - t * entropy
+    return EnergyTable.build(model, theta).variational_free_energy(beta, temperature, q)
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +369,10 @@ def run_consistency_suite(
         model, theta_vec = random_spin_glass(n, int(rng.integers(0, 2**32)), loss=loss_kind)
         theta = theta_vec.values
 
-        grad = exact_grad_J_contrast(model, theta, t)
+        table = EnergyTable.build(model, theta)
+        grad = table.grad_contrast(t)
         fd = central_difference_grad(
-            lambda th: _objective_longdouble(model, th, t), theta, fd_step
+            lambda th: _objective_longdouble(table, th, t), theta, fd_step
         )
         worst_contrast = max(
             worst_contrast,
@@ -301,30 +380,29 @@ def run_consistency_suite(
         )
 
         beta = float(rng.uniform(0.1, 0.9))
-        slope = exact_dA_dbeta(model, theta, beta, t)
+        slope = table.expected_loss(beta, t)
         fd_slope = (
-            free_energy(model, theta, beta + fd_step, t) - free_energy(model, theta, beta - fd_step, t)
+            table.free_energy(beta + fd_step, t) - table.free_energy(beta - fd_step, t)
         ) / (2.0 * fd_step)
         worst_slope = max(worst_slope, abs(slope - fd_slope) / (abs(fd_slope) + EPS_ABS))
 
-        min_order = min(min_order, quadrature_convergence_order(model, theta, t))
+        min_order = min(min_order, table.quadrature_order(t))
 
-        j = contrastive_objective(model, theta, t)
-        worst_bound_margin = min(worst_bound_margin, expected_loss(model, theta, 0.0, t) - j)
+        j = table.objective(t)
+        worst_bound_margin = min(worst_bound_margin, table.expected_loss(0.0, t) - j)
 
-        worst_residual = max(worst_residual, abs(decomposition_residual(model, theta, t)))
+        worst_residual = max(worst_residual, abs(table.decomposition_residual(t)))
 
-        table = gibbs_table(model, theta, beta, t)
-        a = free_energy(model, theta, beta, t)
+        a = table.free_energy(beta, t)
         for _ in range(n_trial_dists):
             q = rng.exponential(size=2**n)
             q /= q.sum()
             worst_var_margin = min(
-                worst_var_margin, variational_free_energy(model, theta, beta, t, q=q) - a
+                worst_var_margin, table.variational_free_energy(beta, t, q) - a
             )
         worst_equality = max(
             worst_equality,
-            abs(variational_free_energy(model, theta, beta, t, q=table.probs) - a),
+            abs(table.variational_free_energy(beta, t, table.gibbs(beta, t).probs) - a),
         )
 
     checks = [

@@ -128,10 +128,13 @@ def _init_rows(model: EnergyModel, cfg: ChainConfig, init, gens) -> np.ndarray:
         return np.stack(rows)
     init = np.asarray(init, dtype=np.float64)
     if init.ndim == 1:
-        model.validate_state(init)
-        return np.tile(init, (cfg.n_chains, 1))
-    if init.shape != (cfg.n_chains, n):
+        init = np.tile(model.validate_state(init), (cfg.n_chains, 1))
+    elif init.shape != (cfg.n_chains, n):
         raise ValueError(f"init must have shape ({n},) or ({cfg.n_chains}, {n})")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
+    if model.state_kind is StateKind.BINARY and not np.isin(init, model.site_values).all():
+        raise ValueError(f"binary init entries must lie in {tuple(model.site_values)}")
     return np.array(init, copy=True)
 
 

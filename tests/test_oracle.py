@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from thermoep.core import central_difference_grad
+from thermoep import oracle
+from thermoep.core import EvaluationError, central_difference_grad, kernel_batch
 from thermoep.estimators import QuadratureSpec
-from thermoep.models import QuadraticEnergyModel, TwoStateModel, random_spin_glass
+from thermoep.models import (
+    QuadraticEnergyModel,
+    RowLoss,
+    SpinGlassModel,
+    TwoStateModel,
+    random_spin_glass,
+)
 from thermoep.oracle import (
+    EnergyTable,
     EnumerationRefusedError,
+    _objective_longdouble,
     contrastive_objective,
     decomposition_residual,
     enumerate_states,
@@ -210,3 +219,107 @@ def test_consistency_suite_validates_arguments():
         run_consistency_suite(n_instances=0)
     with pytest.raises(ValueError):
         run_consistency_suite(n_instances=1, n_spins=40)
+
+
+def _per_state_objective_longdouble(model, theta, t, losses=None):
+    """The long-double J as it was first written: one energy and one loss call per state.
+
+    losses, when given, replaces the per-state loss calls.
+    """
+    states = enumerate_states(model)
+    theta = np.asarray(theta, dtype=np.longdouble)
+    t = np.longdouble(t)
+    e = np.array([model.energy(theta, s) for s in states], dtype=np.longdouble)
+    if losses is None:
+        losses = [model.loss(s) for s in states]
+    l = np.array(losses, dtype=np.longdouble)
+
+    def a(beta):
+        logw = -(e + beta * l) / t
+        m = logw.max()
+        return -t * (m + np.log(np.exp(logw - m).sum()))
+
+    return a(np.longdouble(1.0)) - a(np.longdouble(0.0))
+
+
+@pytest.mark.parametrize("loss", ["output_spin", "signed"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_batched_longdouble_objective_equals_per_state_loop(n, loss):
+    model, theta_vec = random_spin_glass(n, seed=40 + n, loss=loss)
+    theta = theta_vec.values
+    table = EnergyTable.build(model, theta)
+    step = np.zeros_like(theta)
+    step[n // 2] = 1e-5
+    for th in (theta, theta + step, theta - step):
+        for t in (1.0, 0.7):
+            batched = _objective_longdouble(table, th, t)
+            assert batched.dtype == np.longdouble
+            # the energies are exactly the per-state ones for both loss kinds
+            assert batched == _per_state_objective_longdouble(model, th, t, table.losses)
+            # a per-row signed loss is a BLAS dot product that rounds
+            # differently from the batch's, so only the indicator loss
+            # reproduces the per-state loop in full
+            if loss == "output_spin":
+                assert batched == _per_state_objective_longdouble(model, th, t)
+
+
+@pytest.mark.parametrize("beta, t", [(0.0, 1.0), (0.35, 1.0), (1.0, 0.6)])
+@pytest.mark.parametrize("loss", ["output_spin", "signed"])
+def test_gibbs_table_equals_kernel_batch_route(beta, t, loss):
+    model, theta_vec = random_spin_glass(6, seed=3, loss=loss)
+    theta = theta_vec.values
+    logw = -kernel_batch(model, theta, beta, enumerate_states(model)) / t
+    m = np.max(logw)
+    log_z = float(m + np.log(np.sum(np.exp(logw - m))))
+    table = gibbs_table(model, theta, beta, t)
+    assert table.log_z == log_z
+    assert table.log_probs.tobytes() == (logw - log_z).tobytes()
+
+
+def test_gibbs_table_keeps_kernel_batch_finiteness_errors():
+    huge = np.array([1e308, 1e308, 1e308, 0.0, 0.0, 0.0])
+    glass = SpinGlassModel(3)
+    states = enumerate_states(glass)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="energy"):
+        kernel_batch(glass, huge, 0.0, states)
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="energy"):
+        gibbs_table(glass, huge, 0.0)
+
+    # a non-finite loss matters only once the nudge weighs it in
+    bad_loss = SpinGlassModel(3, loss=RowLoss(lambda s: np.where(s[:, 0] > 0, np.inf, 0.0)))
+    theta = np.linspace(-0.5, 0.5, 6)
+    assert gibbs_table(bad_loss, theta, 0.0).log_z == gibbs_table(glass, theta, 0.0).log_z
+    with pytest.raises(EvaluationError, match="loss"):
+        kernel_batch(bad_loss, theta, 0.5, states)
+    with pytest.raises(EvaluationError, match="loss"):
+        gibbs_table(bad_loss, theta, 0.5)
+
+
+# At the 17/33-node pair these read -0.75, 1.04, 1.46 and 1.48: the pair
+# straddles the grid spacing where the h^2 and h^4 error terms cancel.
+@pytest.mark.parametrize("seed", [2755815641, 1034515673, 3972081377, 1978875374])
+def test_suite_passes_where_the_33_node_ladder_misread_the_order(seed):
+    checks = run_consistency_suite(n_instances=1, n_spins=8, seed=seed)
+    assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+
+class _SkewedTrapezoid(QuadratureSpec):
+    """A first-order rule on the trapezoid grid: endpoint weights h/4 and 3h/4."""
+
+    @classmethod
+    def trapezoid(cls, n_nodes):
+        h = 1.0 / (n_nodes - 1)
+        weights = np.full(n_nodes, h)
+        weights[0], weights[-1] = h / 4.0, 3.0 * h / 4.0
+        return QuadratureSpec(np.linspace(0.0, 1.0, n_nodes), weights)
+
+
+def test_order_check_fails_a_first_order_rule(monkeypatch, small_glass):
+    model, theta = small_glass
+    assert quadrature_convergence_order(model, theta, 1.0) >= 1.9
+    monkeypatch.setattr(oracle, "QuadratureSpec", _SkewedTrapezoid)
+    order = quadrature_convergence_order(model, theta, 1.0)
+    assert 0.9 < order < 1.1
+    checks = run_consistency_suite(n_instances=2, n_spins=5, seed=1, n_trial_dists=5)
+    quad = next(c for c in checks if c.name == "quadrature_order")
+    assert not quad.passed and quad.worst < 1.1

@@ -195,6 +195,33 @@ class TestClamping:
         assert batch.samples[:, 4:].std() > 0
 
 
+class TestInitValidation:
+    """Bad inits are refused before sampling, instead of returning NaN or off-lattice chains."""
+
+    def test_non_finite_1d_init_is_rejected(self):
+        cfg = standard_gaussian_config(n_steps=10, burn_in=2)
+        with pytest.raises(ValueError, match="finite"):
+            run_chains(QuadraticEnergyModel(3), np.array([1.0]), 0.0, 1.0, cfg,
+                       np.array([0.0, np.nan, 0.0]))
+
+    def test_non_finite_2d_init_is_rejected(self):
+        cfg = standard_gaussian_config(n_steps=10, burn_in=2)
+        init = np.zeros((8, 3))
+        init[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            run_chains(QuadraticEnergyModel(3), np.array([1.0]), 0.0, 1.0, cfg, init)
+
+    def test_binary_2d_init_off_the_site_values_is_rejected(self, small_glass):
+        model, theta = small_glass
+        cfg = ChainConfig(n_steps=10, n_chains=8, burn_in=2, kernel=Kernel.GIBBS_SWEEP, seed=1)
+        init = np.ones((8, 4))
+        init[5, 0] = 0.5
+        with pytest.raises(ValueError, match="must lie in"):
+            run_chains(model, theta, 0.0, 1.0, cfg, init)
+        init[5, 0] = -1.0
+        assert run_chains(model, theta, 0.0, 1.0, cfg, init).samples.shape == (64, 4)
+
+
 class TestChainCount:
     """Chain c draws from stream (seed, c), so a k-chain run is a prefix of a larger one."""
 
