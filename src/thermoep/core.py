@@ -206,6 +206,24 @@ class EnergyModel(ABC):
         f_lo = kernel_batch(self, theta, beta, flipped)
         return f_hi - f_lo
 
+    def free_kernel(self, theta: np.ndarray, beta: float, rows: np.ndarray):
+        """The nudged kernel over the free block, as a sampler.langevin kernel.
+
+        rows (n, state_dim) supply the clamped coordinates.  kernel(z)
+        returns F and dF/dz per row for the free block z (n, n_free).
+        This generic version writes z into a copy of rows and evaluates
+        the full-state methods; models with clamped blocks override it.
+        """
+        free = ~self.clamp_mask
+        states = np.array(rows, copy=True)
+
+        def kernel(z):
+            states[:, free] = z
+            return (_kernel_rows(self, theta, beta, states),
+                    _kernel_grad_rows(self, theta, beta, states)[:, free])
+
+        return kernel
+
     # -- housekeeping -----------------------------------------------------
 
     @property
@@ -254,6 +272,21 @@ def kernel_batch(model: EnergyModel, theta, beta, states: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(l)):
         raise EvaluationError("loss evaluated to a non-finite value in a batch")
     return e + b * l
+
+
+# Unchecked, unlike kernel_batch: a MALA proposal with a non-finite F is a rejection.
+def _kernel_rows(model: EnergyModel, theta, beta: float, states: np.ndarray) -> np.ndarray:
+    f = model.energy_batch(theta, states)
+    if beta != 0.0:
+        f = f + beta * model.loss_batch(states)
+    return f
+
+
+def _kernel_grad_rows(model: EnergyModel, theta, beta: float, states: np.ndarray) -> np.ndarray:
+    g = model.grad_state_energy_batch(theta, states)
+    if beta != 0.0:
+        g = g + beta * model.grad_state_loss_batch(states)
+    return g
 
 
 def central_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -26,7 +26,7 @@ from .rng import (
     SWEEP_UPDATE_BASE,
     derive_seed,
 )
-from .sampler import ChainConfig, run_chains
+from .sampler import ChainConfig, SampleBatch, run_chains
 
 DEGENERATE_NORM = 1e-12
 
@@ -43,6 +43,11 @@ def cosine(u, v) -> float:
 
 def spearman_rho(x, y) -> float:
     return float(stats.spearmanr(x, y).statistic)
+
+
+def _free_mean(batch: SampleBatch) -> np.ndarray:
+    """Mean kept state over the unclamped coordinates, from the stored free block."""
+    return batch.free_samples.reshape(batch.n_samples, batch.free_samples.shape[2]).mean(axis=0)
 
 
 def snr_of_perturbation(
@@ -66,7 +71,6 @@ def snr_of_perturbation(
         raise ValueError("n_repeats must be >= 2")
     beta = as_nudge(beta)
     t = as_temperature(temperature)
-    free_coords = ~model.clamp_mask
     deltas = []
     for r in range(n_repeats):
         nudged = run_chains(
@@ -77,8 +81,7 @@ def snr_of_perturbation(
             model, theta, 0.0, t,
             config.with_seed(derive_seed(config.seed, r, FREE_PHASE)), init,
         )
-        diff = nudged.samples.mean(axis=0) - free.samples.mean(axis=0)
-        deltas.append(diff[free_coords])
+        deltas.append(_free_mean(nudged) - _free_mean(free))
     deltas = np.stack(deltas)
     mean = deltas.mean(axis=0)
     noise = float(np.mean(np.linalg.norm(deltas - mean, axis=1)))

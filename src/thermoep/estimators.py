@@ -112,10 +112,10 @@ def _batch_meta(batch: SampleBatch) -> dict:
 
 def _chain_mean_grads(model: EnergyModel, theta, batch: SampleBatch) -> np.ndarray:
     """Per-chain means of dE/dtheta, shape (n_chains, param_dim)."""
-    per = batch.per_chain()
-    return np.stack(
-        [model.grad_theta_energy_sum(theta, chain) / batch.n_kept for chain in per]
-    )
+    return np.stack([
+        model.grad_theta_energy_sum(theta, batch.chain(c)) / batch.n_kept
+        for c in range(batch.n_chains)
+    ])
 
 
 def _chain_covariances(model: EnergyModel, theta, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -129,18 +129,24 @@ def _chain_covariances(model: EnergyModel, theta, batch: SampleBatch) -> tuple[n
     k = batch.n_kept
     if k < 2:
         raise EstimationError(f"covariance needs >= 2 kept samples per chain, got {k}")
-    per = batch.per_chain()
-    losses = np.stack([model.loss_batch(chain) for chain in per])  # (C, K)
+    losses = np.empty((batch.n_chains, k))
+    g_sums = np.empty((batch.n_chains, model.param_dim))
+    lg_sums = np.empty_like(g_sums)
+    for c in range(batch.n_chains):
+        chain = batch.chain(c)
+        losses[c] = model.loss_batch(chain)
+        g_sums[c] = model.grad_theta_energy_sum(theta, chain)
+        lg_sums[c] = model.grad_theta_energy_sum(theta, chain, weights=losses[c])
     l_sums = losses.sum(axis=1)
-    g_sums = np.stack([model.grad_theta_energy_sum(theta, chain) for chain in per])
-    lg_sums = np.stack(
-        [model.grad_theta_energy_sum(theta, chain, weights=w) for chain, w in zip(per, losses)]
-    )
     pooled_l = l_sums.sum() / (batch.n_chains * k)
     pooled_g = g_sums.sum(axis=0) / (batch.n_chains * k)
-    covs = (
-        lg_sums - pooled_l * g_sums - l_sums[:, None] * pooled_g + k * pooled_l * pooled_g
-    ) / (k - 1)
+    # (lg - pooled_l g - l pooled_g + k pooled_l pooled_g) / (k - 1), evaluated left to
+    # right in place, so at most one more (n_chains, param_dim) array is live
+    covs = lg_sums
+    covs -= pooled_l * g_sums
+    covs -= l_sums[:, None] * pooled_g
+    covs += k * pooled_l * pooled_g
+    covs /= k - 1
     return covs, l_sums / k
 
 

@@ -325,23 +325,55 @@ class LayeredTanhEnergyNet(EnergyModel):
 
     # -- energy ---------------------------------------------------------
 
-    def energy_batch(self, theta, states):
-        w1, w2, b_h, b_o = self.unpack(theta)
-        x, h, o = self.split_state(states)
+    def _free_rows(self, theta, xw1, h, o, energy=True, grad=True):
+        """E per row and (dE/dh, dE/do) given the input drive xw1 = x @ W1.
+
+        The one copy of the energy formula; energy_batch,
+        grad_state_energy_batch and free_kernel read it.  Either result
+        is None when not asked for.
+        """
+        _, w2, b_h, b_o = self.unpack(theta)
         th, to = np.tanh(h), np.tanh(o)
-        quad = 0.5 * np.einsum("ij,ij->i", h, h) + 0.5 * np.einsum("ij,ij->i", o, o)
-        drive = np.einsum("ij,ij->i", x @ w1, th) + np.einsum("ij,ij->i", th @ w2, to)
-        return quad - drive - th @ b_h - to @ b_o
+        th_w2 = th @ w2
+        f = g = None
+        if energy:
+            quad = 0.5 * np.einsum("ij,ij->i", h, h) + 0.5 * np.einsum("ij,ij->i", o, o)
+            drive = np.einsum("ij,ij->i", xw1, th) + np.einsum("ij,ij->i", th_w2, to)
+            f = quad - drive - th @ b_h - to @ b_o
+        if grad:
+            g = (h - (1.0 - th**2) * (xw1 + to @ w2.T + b_h),
+                 o - (1.0 - to**2) * (th_w2 + b_o))
+        return f, g
+
+    def energy_batch(self, theta, states):
+        x, h, o = self.split_state(states)
+        return self._free_rows(theta, x @ self.unpack(theta)[0], h, o, grad=False)[0]
 
     def grad_state_energy_batch(self, theta, states):
-        w1, w2, b_h, b_o = self.unpack(theta)
+        w1 = self.unpack(theta)[0]
         x, h, o = self.split_state(states)
-        th, to = np.tanh(h), np.tanh(o)
-        sech2_h, sech2_o = 1.0 - th**2, 1.0 - to**2
-        g_x = -th @ w1.T
-        g_h = h - sech2_h * (x @ w1 + to @ w2.T + b_h)
-        g_o = o - sech2_o * (th @ w2 + b_o)
-        return np.concatenate([g_x, g_h, g_o], axis=-1)
+        g_h, g_o = self._free_rows(theta, x @ w1, h, o, energy=False)[1]
+        return np.concatenate([-np.tanh(h) @ w1.T, g_h, g_o], axis=-1)
+
+    def free_kernel(self, theta, beta, rows):
+        """F and dF/d(h, o) over the free block, with x @ W1 computed once.
+
+        Bit-equal to the generic kernel: the same formula on the same
+        operands, without the clamped-input gradient it discards.
+        """
+        xw1 = self.split_state(rows)[0] @ self.unpack(theta)[0]
+        nh = self.n_hidden
+
+        def kernel(z):
+            h, o = z[:, :nh], z[:, nh:]
+            f, (g_h, g_o) = self._free_rows(theta, xw1, h, o)
+            if beta != 0.0:
+                f = f + beta * self._output_loss(o)
+                g_h = g_h + beta * 0.0  # as the generic beta * dl/dh: -0.0 becomes +0.0
+                g_o = g_o + beta * (o - self.target)
+            return f, np.concatenate([g_h, g_o], axis=1)
+
+        return kernel
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         x, h, o = self.split_state(states)
@@ -365,10 +397,12 @@ class LayeredTanhEnergyNet(EnergyModel):
             raise ValueError("no target bound to this network; use with_target()")
         return self.target
 
+    def _output_loss(self, o):
+        d = o - self._require_target()
+        return 0.5 * np.einsum("ij,ij->i", d, d)
+
     def loss_batch(self, states):
-        t = self._require_target()
-        _, _, o = self.split_state(states)
-        return 0.5 * np.einsum("ij,ij->i", o - t, o - t)
+        return self._output_loss(self.split_state(states)[2])
 
     def grad_state_loss_batch(self, states):
         t = self._require_target()

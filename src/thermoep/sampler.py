@@ -10,7 +10,13 @@ spin-glass models the first k chains of a run are bit-identical to a
 k-chain run; for the layered net they agree only to rounding, because a
 BLAS matrix product over the rows rounds differently with the row count.
 The continuous kernels share one Langevin loop, langevin(), which the
-trainer also drives.
+trainer also drives; run_chains takes its kernel over the free block
+from the model (EnergyModel.free_kernel).
+
+A run stores only what moves: the kept free coordinates of every chain
+and the init rows, which hold the clamped ones.  Full states, as
+SampleBatch.samples and per_chain(), are built on demand.  ESS is
+computed per chain for all free coordinates with one FFT (column_ess).
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EnergyModel, StateKind, as_nudge, as_temperature, theta_fingerprint
+from .core import (
+    EnergyModel,
+    StateKind,
+    _kernel_grad_rows,
+    as_nudge,
+    as_temperature,
+    theta_fingerprint,
+)
 from .rng import make_generator
 
 
@@ -82,13 +95,17 @@ class ChainConfig:
 class SampleBatch:
     """Post-burn-in samples from every chain, chain-major.
 
-    samples has shape (n_chains * n_kept, state_dim); per_chain() views
-    it as (n_chains, n_kept, state_dim).
+    Only what moves is stored: free_samples holds the unclamped
+    coordinates, shape (n_chains, n_kept, n_free), and init the chains'
+    starting rows, whose clamped coordinates every kept state shares.
+    chain(c) builds one chain's full (n_kept, state_dim) rows; samples,
+    shape (n_chains * n_kept, state_dim), and per_chain(), shape
+    (n_chains, n_kept, state_dim), build every chain's on demand.
     """
 
-    samples: np.ndarray
-    n_chains: int
-    n_kept: int
+    free_samples: np.ndarray
+    init: np.ndarray
+    clamp_mask: np.ndarray
     beta: float
     temperature: float
     kernel: Kernel
@@ -98,12 +115,31 @@ class SampleBatch:
     acceptance_rate: float | None = None
     warnings: tuple[str, ...] = ()
 
-    def per_chain(self) -> np.ndarray:
-        return self.samples.reshape(self.n_chains, self.n_kept, -1)
+    @property
+    def n_chains(self) -> int:
+        return self.free_samples.shape[0]
+
+    @property
+    def n_kept(self) -> int:
+        return self.free_samples.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return self.samples.shape[0]
+        return self.n_chains * self.n_kept
+
+    def chain(self, c: int) -> np.ndarray:
+        """Chain c's kept states as a fresh (n_kept, state_dim) array."""
+        rows = np.empty((self.n_kept, self.clamp_mask.size))
+        rows[:, self.clamp_mask] = self.init[c, self.clamp_mask]
+        rows[:, ~self.clamp_mask] = self.free_samples[c]
+        return rows
+
+    def per_chain(self) -> np.ndarray:
+        return np.stack([self.chain(c) for c in range(self.n_chains)])
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.per_chain().reshape(self.n_samples, -1)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -138,21 +174,6 @@ def _init_rows(model: EnergyModel, cfg: ChainConfig, init, gens) -> np.ndarray:
     return np.array(init, copy=True)
 
 
-# Unchecked, unlike core.kernel_batch: a MALA proposal with a non-finite F is a rejection.
-def _kernel_rows(model, theta, beta, states):
-    f = model.energy_batch(theta, states)
-    if beta != 0.0:
-        f = f + beta * model.loss_batch(states)
-    return f
-
-
-def _kernel_grad_rows(model, theta, beta, states):
-    g = model.grad_state_energy_batch(theta, states)
-    if beta != 0.0:
-        g = g + beta * model.grad_state_loss_batch(states)
-    return g
-
-
 def run_chains(
     model: EnergyModel, theta, beta, temperature, config: ChainConfig, init=None
 ) -> SampleBatch:
@@ -167,18 +188,19 @@ def run_chains(
     t = as_temperature(temperature)
     theta = model.validate_theta(theta)
     gens = [make_generator(config.seed, c) for c in range(config.n_chains)]
-    states = _init_rows(model, config, init, gens)
+    rows = _init_rows(model, config, init, gens)
 
     if model.state_kind is StateKind.BINARY:
         if config.kernel is not Kernel.GIBBS_SWEEP:
             raise ValueError(f"{config.kernel.value} requires a continuous state space")
-        kept, acc = _run_gibbs(model, theta, beta, t, config, states, gens)
+        kept, acc = _run_gibbs(model, theta, beta, t, config, rows.copy(), gens)  # sweeps in place
     else:
         if config.kernel is Kernel.GIBBS_SWEEP:
             raise ValueError("gibbs_sweep requires a binary state space")
-        kept, acc = _run_langevin(model, theta, beta, t, config, states, gens)
+        kept, acc = _run_langevin(model, theta, beta, t, config, rows, gens)
 
-    ess = np.array([_batch_ess(chain, model.clamp_mask) for chain in kept])
+    ess = np.array([column_ess(block).min() if block.size else float(config.n_kept)
+                    for block in kept])
     warnings = []
     if float(ess.min()) < 10.0:
         warnings.append(
@@ -187,9 +209,9 @@ def run_chains(
     if acc is not None and not (0.4 < acc < 0.9):
         warnings.append(f"acceptance rate {acc:.2f} outside (0.4, 0.9); retune step_size")
     return SampleBatch(
-        samples=kept.reshape(config.n_chains * config.n_kept, model.state_dim),
-        n_chains=config.n_chains,
-        n_kept=config.n_kept,
+        free_samples=kept,
+        init=rows,
+        clamp_mask=model.clamp_mask,
         beta=beta,
         temperature=t,
         kernel=config.kernel,
@@ -211,7 +233,7 @@ def _keep_slots(cfg: ChainConfig):
 def _run_gibbs(model, theta, beta, t, cfg, states, gens):
     lo, hi = model.site_values
     free_sites = [i for i in range(model.state_dim) if not model.clamp_mask[i]]
-    kept = np.empty((cfg.n_chains, cfg.n_kept, model.state_dim))
+    kept = np.empty((cfg.n_chains, cfg.n_kept, len(free_sites)))
     slots = _keep_slots(cfg)
     for step in range(cfg.n_steps):
         u = np.stack([g.random(model.state_dim) for g in gens])
@@ -221,24 +243,18 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
             states[:, site] = np.where(u[:, site] < p_hi, hi, lo)
         slot = slots.get(step)
         if slot is not None:
-            kept[:, slot, :] = states
+            kept[:, slot] = states[:, free_sites]
     return kept, None
 
 
-def _run_langevin(model, theta, beta, t, cfg, states, gens):
-    free = ~model.clamp_mask
-    kept = np.empty((cfg.n_chains, cfg.n_kept, model.state_dim))
-    kept[:, :, ~free] = states[:, None, ~free]
-
-    def kernel(z):
-        states[:, free] = z
-        return (_kernel_rows(model, theta, beta, states),
-                _kernel_grad_rows(model, theta, beta, states)[:, free])
+def _run_langevin(model, theta, beta, t, cfg, rows, gens):
+    z = rows[:, ~model.clamp_mask]
+    kept = np.empty((cfg.n_chains, cfg.n_kept, z.shape[1]))
 
     def keep(slot, z):
-        kept[:, slot, free] = z
+        kept[:, slot] = z
 
-    n_accept = langevin(kernel, states[:, free], gens, cfg, t, keep)
+    n_accept = langevin(model.free_kernel(theta, beta, rows), z, gens, cfg, t, keep)
     adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     return kept, n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None
 
@@ -340,30 +356,37 @@ def effective_sample_size(series) -> float:
     non-positive; iid-like series return roughly their length.  Series
     too short to estimate (< 4) return their length; a constant series
     returns 1.0 (a frozen chain carries one sample of information, and
-    a zero-variance coordinate cannot justify more).
+    a zero-variance coordinate cannot justify more).  The one-column
+    view of column_ess.
     """
-    x = np.asarray(series, dtype=np.float64)
-    k = x.size
+    return float(column_ess(np.asarray(series, dtype=np.float64).reshape(-1, 1))[0])
+
+
+def column_ess(block) -> np.ndarray:
+    """effective_sample_size of every column of a (k, n) block of k draws.
+
+    The columns become contiguous rows of one array, so a single
+    rfft/irfft pair yields every autocovariance; only the pair-sum
+    cutoff runs per column.
+    """
+    x = np.ascontiguousarray(np.asarray(block, dtype=np.float64).T)
+    n, k = x.shape
+    ess = np.full(n, float(k))
     if k < 4:
-        return float(k)
-    x = x - x.mean()
-    if not np.any(x):
-        return 1.0
+        return ess
+    x = x - x.mean(axis=1, keepdims=True)
+    moving = np.any(x, axis=1)
+    ess[~moving] = 1.0
+    x = x[moving]
     nfft = 1 << (2 * k - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:k] / k
-    rho = acov / acov[0]
-    if rho.size % 2:
-        rho = np.append(rho, 0.0)
-    pair_sums = rho[0::2] + rho[1::2]
-    positive = np.nonzero(pair_sums <= 0.0)[0]
-    cutoff = positive[0] if positive.size else pair_sums.size
-    tau = max(-1.0 + 2.0 * float(pair_sums[:cutoff].sum()), 1.0 / k)
-    return float(k / tau)
-
-
-def _batch_ess(chain: np.ndarray, clamp_mask: np.ndarray) -> float:
-    free = np.nonzero(~clamp_mask)[0]
-    if free.size == 0:
-        return float(chain.shape[0])
-    return min(effective_sample_size(chain[:, j]) for j in free)
+    f = np.fft.rfft(x, nfft, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), nfft, axis=1)[:, :k] / k
+    rho = acov / acov[:, :1]
+    if k % 2:
+        rho = np.concatenate([rho, np.zeros((len(rho), 1))], axis=1)
+    pair_sums = rho[:, 0::2] + rho[:, 1::2]
+    nonpositive = pair_sums <= 0.0
+    cutoffs = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), pair_sums.shape[1])
+    taus = [max(-1.0 + 2.0 * float(p[:c].sum()), 1.0 / k) for p, c in zip(pair_sums, cutoffs)]
+    ess[moving] = k / np.array(taus)
+    return ess

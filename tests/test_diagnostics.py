@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from thermoep.diagnostics import (
     SweepResult,
+    _free_mean,
     alignment_sweep,
     cosine,
     snr_of_perturbation,
     spearman_rho,
 )
-from thermoep.models import random_spin_glass
-from thermoep.sampler import ChainConfig, Kernel
+from thermoep.models import LayeredTanhEnergyNet, init_layer_params, random_spin_glass
+from thermoep.sampler import ChainConfig, Kernel, run_chains
 
 
 class TestCosine:
@@ -71,6 +72,18 @@ class TestSnr:
         strong = snr_of_perturbation(self.model, self.theta, 1.0, 1.0, cfg, n_repeats=6)
         weak = snr_of_perturbation(self.model, self.theta, 0.01, 1.0, cfg, n_repeats=6)
         assert strong > weak
+
+
+@pytest.mark.parametrize("n_chains", [8, 64])
+def test_free_mean_equals_the_masked_full_mean(n_chains):
+    """The SNR reads the free block; its column means are the full-state ones, byte for byte."""
+    net = LayeredTanhEnergyNet(784, 32, 10, target=np.eye(10)[1])
+    theta = init_layer_params(784, 32, 10, seed=1).values
+    init = net.init_state(np.random.default_rng(5).uniform(0.0, 1.0, 784))
+    cfg = ChainConfig(n_steps=40, n_chains=n_chains, burn_in=10, step_size=0.02, seed=2)
+    batch = run_chains(net, theta, 0.5, 0.1, cfg, init)
+    full = batch.samples.mean(axis=0)[~net.clamp_mask]
+    assert _free_mean(batch).tobytes() == full.tobytes()
 
 
 def _probe():

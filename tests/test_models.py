@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermoep.core import StateKind, check_grad_state, check_grad_theta
+from thermoep.core import EnergyModel, StateKind, check_grad_state, check_grad_theta
 from thermoep.data import one_hot
 from thermoep.models import (
     FeedforwardBaseline,
@@ -196,6 +196,23 @@ class TestLayeredNet:
         s = net.init_state(x)
         np.testing.assert_array_equal(s[:5], x)
         np.testing.assert_array_equal(s[5:], np.zeros(7))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_free_kernel_is_bit_equal_to_generic_kernel(self, rng, beta):
+        """The hoisted kernel returns the generic adapter's F and dF/dz byte for byte.
+
+        The zero-theta rows at -0.0 give dE/dh = -0.0; the generic kernel
+        adds beta * dl/dh = +0.0 to it at beta != 0, which flips the sign.
+        """
+        net, theta = self.make()
+        rows = self.random_states(net, rng, 6)
+        z = self.random_states(net, rng, 6)[:, 5:]
+        cases = [(theta, z), (np.zeros_like(theta), np.full_like(z, -0.0))]
+        for th, zz in cases:
+            f, g = net.free_kernel(th, beta, rows)(zz.copy())
+            f_ref, g_ref = EnergyModel.free_kernel(net, th, beta, rows)(zz.copy())
+            assert f.tobytes() == f_ref.tobytes()
+            assert g.tobytes() == g_ref.tobytes()
 
     def test_batched_relaxation_matches_generic_minimizer(self, rng):
         net, theta = self.make(target=False)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoep.core import EvaluationError, kernel_batch
+from thermoep.core import EnergyModel, EvaluationError, kernel_batch
 from thermoep.models import (
     LayeredTanhEnergyNet,
     QuadraticEnergyModel,
@@ -15,6 +15,7 @@ from thermoep.sampler import (
     ChainConfig,
     DivergenceError,
     Kernel,
+    column_ess,
     effective_sample_size,
     relax_deterministic,
     run_chains,
@@ -256,6 +257,47 @@ class TestChainCount:
             np.testing.assert_allclose(small.samples, self.prefix(full, k), rtol=0, atol=1e-12)
 
 
+class GenericKernelNet(LayeredTanhEnergyNet):
+    """The layered net sampled through the base class's full-state kernel adapter."""
+
+    free_kernel = EnergyModel.free_kernel
+
+
+class TestLayeredNetChains:
+    @staticmethod
+    def setup_run(kernel, n_chains=4):
+        net = LayeredTanhEnergyNet(784, 32, 10, target=np.eye(10)[3])
+        theta = init_layer_params(784, 32, 10, seed=0).values
+        init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 784))
+        cfg = standard_gaussian_config(
+            n_steps=60, n_chains=n_chains, burn_in=20, step_size=0.02, kernel=kernel, seed=9
+        )
+        return net, theta, init, cfg
+
+    def test_batch_stores_only_the_free_block(self):
+        net, theta, init, cfg = self.setup_run(Kernel.LANGEVIN_ADJUSTED)
+        batch = run_chains(net, theta, 0.5, 0.1, cfg, init)
+        assert batch.free_samples.shape == (cfg.n_chains, cfg.n_kept, 32 + 10)
+        assert batch.samples.shape == (cfg.n_chains * cfg.n_kept, net.state_dim)
+        rows = batch.chain(2)
+        assert rows.flags.c_contiguous and rows.shape == (cfg.n_kept, net.state_dim)
+        assert rows.tobytes() == batch.per_chain()[2].tobytes()
+        rows[:] = 0.0  # a fresh array: the batch is untouched
+        clamped = np.broadcast_to(init[:784], (cfg.n_kept, 784))
+        np.testing.assert_array_equal(batch.chain(2)[:, :784], clamped)
+
+    @pytest.mark.parametrize("kernel", [Kernel.LANGEVIN_ADJUSTED, Kernel.LANGEVIN_UNADJUSTED])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_model_kernel_samples_like_the_generic_kernel(self, kernel, beta):
+        net, theta, init, cfg = self.setup_run(kernel)
+        generic = GenericKernelNet(784, 32, 10, target=np.eye(10)[3])
+        fast = run_chains(net, theta, beta, 0.1, cfg, init)
+        ref = run_chains(generic, theta, beta, 0.1, cfg, init)
+        assert fast.free_samples.tobytes() == ref.free_samples.tobytes()
+        assert fast.ess.tobytes() == ref.ess.tobytes()
+        assert fast.acceptance_rate == ref.acceptance_rate
+
+
 class TestSampleBatch:
     def test_per_chain_is_chain_major(self, small_glass):
         model, theta = small_glass
@@ -290,6 +332,49 @@ class TestEffectiveSampleSize:
 
     def test_short_series_returns_length(self):
         assert effective_sample_size(np.array([1.0, 2.0])) == 2.0
+
+
+def reference_ess(series) -> float:
+    """The scalar, one-FFT-per-column ESS that column_ess batches."""
+    x = np.asarray(series, dtype=np.float64)
+    k = x.size
+    if k < 4:
+        return float(k)
+    x = x - x.mean()
+    if not np.any(x):
+        return 1.0
+    nfft = 1 << (2 * k - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:k] / k
+    rho = acov / acov[0]
+    if rho.size % 2:
+        rho = np.append(rho, 0.0)
+    pair_sums = rho[0::2] + rho[1::2]
+    positive = np.nonzero(pair_sums <= 0.0)[0]
+    cutoff = positive[0] if positive.size else pair_sums.size
+    tau = max(-1.0 + 2.0 * float(pair_sums[:cutoff].sum()), 1.0 / k)
+    return float(k / tau)
+
+
+class TestColumnEss:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 17, 200, 801, 1085])
+    def test_byte_equal_to_the_scalar_algorithm(self, rng, k):
+        # iid, AR(1) at phi = 0.9, 0.97 and 0.99 (long pair-sum prefixes), a walk, a constant
+        noise = rng.normal(size=(k, 5))
+        ar = noise[:, 1:4].copy()
+        for i in range(1, k):
+            ar[i] += np.array([0.9, 0.97, 0.99]) * ar[i - 1]
+        block = np.concatenate(
+            [noise[:, :1], ar, noise[:, 4:].cumsum(axis=0), np.full((k, 1), 2.5)], axis=1
+        )
+        ess = column_ess(block)
+        assert ess.shape == (6,)
+        for j in range(6):
+            expected = reference_ess(block[:, j])
+            assert ess[j].tobytes() == np.float64(expected).tobytes()
+            assert effective_sample_size(block[:, j]) == expected
+        if k >= 4:
+            assert ess[5] == 1.0
 
 
 class TestRelaxation:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from thermoep.core import _kernel_grad_rows, _kernel_rows
 from thermoep.data import one_hot, train_test_blobs
 from thermoep.models import LayeredTanhEnergyNet, init_layer_params
 from thermoep.rng import INIT_STREAM, derive_seed, make_generator
-from thermoep.sampler import DivergenceError, _kernel_grad_rows, _kernel_rows, langevin
+from thermoep.sampler import DivergenceError, langevin
 from thermoep.train import (
     Checkpoint,
     TrainConfig,
