@@ -140,7 +140,11 @@ class EnergyModel(ABC):
     loss_batch and grad_theta_energy_sum; continuous models also implement
     grad_state_energy_batch and grad_state_loss_batch.  The single-state
     methods are views of row s[None, :] that pass theta through untouched
-    (the oracle evaluates them at long-double theta).
+    (the oracle evaluates them at long-double theta).  Where a batch
+    method is a BLAS product over the rows, a one-row view goes through a
+    different BLAS path and agrees with the batch's row only to rounding:
+    loss(s) under linear_state_loss ("signed") differed from loss_batch
+    by up to 1.3e-15 at 8 spins.
     """
 
     param_dim: int

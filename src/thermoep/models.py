@@ -420,8 +420,11 @@ class LayeredTanhEnergyNet(EnergyModel):
 
         The input drive x @ W1 is constant during relaxation and is
         hoisted out of the loop; otherwise identical to running the
-        generic relaxation per example.
+        generic relaxation per example.  A step maps z to (1 - step) z
+        plus a bounded drive, so step must lie in (0, 2).
         """
+        if not (0.0 < step < 2.0):
+            raise ValueError(f"relaxation step must lie in (0, 2), got {step}")
         w1, w2, b_h, b_o = self.unpack(np.asarray(theta, dtype=np.float64))
         x = np.asarray(inputs, dtype=np.float64)
         drive = x @ w1 + b_h

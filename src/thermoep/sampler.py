@@ -10,8 +10,10 @@ spin-glass models the first k chains of a run are bit-identical to a
 k-chain run; for the layered net they agree only to rounding, because a
 BLAS matrix product over the rows rounds differently with the row count.
 The continuous kernels share one Langevin loop, langevin(), which the
-trainer also drives; run_chains takes its kernel over the free block
-from the model (EnergyModel.free_kernel).
+trainer also drives; its caller supplies the kernel over the free block
+and the random numbers.  run_chains takes the kernel from the model
+(EnergyModel.free_kernel) and draws per step: chain c's noise, then (on
+the adjusted kernel) its accept uniform, from stream (seed, c).
 
 A run stores only what moves: the kept free coordinates of every chain
 and the init rows, which hold the clamped ones.  Full states, as
@@ -248,36 +250,37 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
 
 
 def _run_langevin(model, theta, beta, t, cfg, rows, gens):
-    z = rows[:, ~model.clamp_mask]
-    kept = np.empty((cfg.n_chains, cfg.n_kept, z.shape[1]))
-
-    def keep(slot, z):
-        kept[:, slot] = z
-
-    n_accept = langevin(model.free_kernel(theta, beta, rows), z, gens, cfg, t, keep)
     adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
+    z = rows[:, ~model.clamp_mask]
+
+    def draw(step):
+        noise = np.stack([g.standard_normal(z.shape[1]) for g in gens])
+        return noise, np.array([g.random() for g in gens]) if adjusted else None
+
+    kept, n_accept = langevin(model.free_kernel(theta, beta, rows), z, draw, cfg, t)
     return kept, n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None
 
 
-def langevin(kernel, z, gens, cfg: ChainConfig, temperature: float, keep) -> int:
+def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.ndarray, int]:
     """Advance the free block z (rows x free coordinates) by cfg.n_steps Langevin steps.
 
-    kernel(z) returns F and dF/dz per row; keep(slot, z) is called at
-    every kept step.  Row r draws its noise, then its accept uniform,
-    from gens[r].  The adjusted kernel applies a Metropolis-Hastings
-    test and returns the number of accepted proposals; the unadjusted
-    kernel accepts every finite proposal and returns 0.
+    kernel(z) returns F and dF/dz per row; draw(step) returns that step's
+    standard-normal noise (rows x free coordinates) and accept uniforms
+    (rows,).  Returns the kept states (rows x n_kept x free coordinates)
+    and the number of accepted proposals: the adjusted kernel applies a
+    Metropolis-Hastings test, the unadjusted one accepts every finite
+    proposal, ignores the uniforms and returns 0.
     """
     adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     eta = cfg.step_size
     eta_t = eta / temperature
     scale = np.sqrt(2.0 * eta)
-    n_free = z.shape[1]
+    kept = np.empty((z.shape[0], cfg.n_kept, z.shape[1]))
     slots = _keep_slots(cfg)
     f_cur, grad = kernel(z)
     n_accept = 0
     for step in range(cfg.n_steps):
-        noise = np.stack([g.standard_normal(n_free) for g in gens])
+        noise, uniforms = draw(step)
         with np.errstate(invalid="ignore", over="ignore"):
             proposal = z - eta_t * grad + scale * noise
             if not adjusted:
@@ -296,15 +299,15 @@ def langevin(kernel, z, gens, cfg: ChainConfig, temperature: float, keep) -> int
                 log_q_rev = -np.einsum("ij,ij->i", rev, rev) / (4.0 * eta)
                 log_alpha = -(f_prop - f_cur) / temperature + log_q_rev - log_q_fwd
                 log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
-                accept = np.log([g.random() for g in gens]) < log_alpha
+                accept = np.log(uniforms) < log_alpha
                 n_accept += int(accept.sum())
                 z[accept] = proposal[accept]
                 f_cur = np.where(accept, f_prop, f_cur)
                 grad[accept] = grad_prop[accept]
         slot = slots.get(step)
         if slot is not None:
-            keep(slot, z)
-    return n_accept
+            kept[:, slot] = z
+    return kept, n_accept
 
 
 @dataclass

@@ -14,11 +14,13 @@ layout:
 Minibatches are sampled as one replica block: every (example, chain)
 pair is a row advancing under MALA in lockstep, with its own RNG stream
 derived from (seed, epoch, batch, phase, row).  The trainer supplies a
-kernel and feature statistics to the sampler's Langevin loop.  Because
-dE/dtheta for the layered net is linear in the features (x (x) tanh h,
-tanh h (x) tanh o, tanh h, tanh o), per-example phase statistics are
-accumulated in feature space and turned into gradients with a couple of
-matmuls.  The reduction is checked against the generic per-example
+kernel and the random numbers to the sampler's Langevin loop: each row
+draws its n_steps accept uniforms as one block, then its (n_steps,
+n_free) noise as one block.  Because dE/dtheta for the layered net is
+linear in the features (x (x) tanh h, tanh h (x) tanh o, tanh h,
+tanh o), per-example phase statistics are summed in feature space, once
+per phase over the kept block, and turned into gradients with a couple
+of matmuls.  The reduction is checked against the generic per-example
 estimators in the test suite.
 
 Per-epoch J is logged through its thermodynamic form, the integral over
@@ -291,42 +293,41 @@ def _sample_phase(
 ) -> PhaseStats:
     """MALA over the (h, o) blocks of a whole minibatch replica array.
 
-    Row r = example_slot * n_chains + chain advances with generator
-    (seed, *path, r), starting from zero; every kept row adds its
-    features to the example's sums.
+    Row r = example_slot * n_chains + chain starts from zero and draws
+    from generator (seed, *path, r): first its n_steps accept uniforms,
+    then its (n_steps, n_free) noise, each as one block.  The kept rows'
+    features are summed per example once, after the run.
     """
     b, c = len(inputs), chain.n_chains
-    nh, no = net.n_hidden, net.n_out
-    stats = PhaseStats(
-        n_rows=c * chain.n_kept,
-        sum_th=np.zeros((b, nh)),
-        sum_to=np.zeros((b, no)),
-        sum_cross=np.zeros((b, nh, no)),
-        sum_loss=np.zeros(b),
-        sum_lth=np.zeros((b, nh)) if need_cov else None,
-        sum_lto=np.zeros((b, no)) if need_cov else None,
-        sum_lcross=np.zeros((b, nh, no)) if need_cov else None,
+    nh, n_free = net.n_hidden, net.n_hidden + net.n_out
+    uniforms = np.empty((chain.n_steps, b * c))
+    noise = np.empty((chain.n_steps, b * c, n_free))
+    for r in range(b * c):
+        g = make_generator(seed, *path, r)
+        uniforms[:, r] = g.random(chain.n_steps)
+        noise[:, r] = g.standard_normal((chain.n_steps, n_free))
+
+    kept, _ = langevin(
+        _phase_kernel(net, theta, inputs, targets, beta, c), np.zeros((b * c, n_free)),
+        lambda step: (noise[step], uniforms[step]), chain, temperature,
     )
-
-    def keep(slot, z):
-        h, o = z[:, :nh].copy(), z[:, nh:].copy()
-        th = np.tanh(h).reshape(b, c, nh)
-        to = np.tanh(o).reshape(b, c, no)
-        stats.sum_th += th.sum(axis=1)
-        stats.sum_to += to.sum(axis=1)
-        stats.sum_cross += np.einsum("bch,bco->bho", th, to)
-        d = o.reshape(b, c, no) - targets[:, None, :]
-        losses = 0.5 * np.einsum("bcj,bcj->bc", d, d)
-        stats.sum_loss += losses.sum(axis=1)
-        if need_cov:
-            stats.sum_lth += np.einsum("bc,bch->bh", losses, th)
-            stats.sum_lto += np.einsum("bc,bco->bo", losses, to)
-            stats.sum_lcross += np.einsum("bc,bch,bco->bho", losses, th, to)
-
-    gens = [make_generator(seed, *path, r) for r in range(b * c)]
-    kernel = _phase_kernel(net, theta, inputs, targets, beta, c)
-    langevin(kernel, np.zeros((b * c, nh + no)), gens, chain, temperature, keep)
-    return stats
+    kept = kept.reshape(b, c * chain.n_kept, n_free)  # every kept row of one example
+    th, to = np.tanh(kept[:, :, :nh]), np.tanh(kept[:, :, nh:])
+    d = kept[:, :, nh:] - targets[:, None, :]
+    losses = 0.5 * np.einsum("bnj,bnj->bn", d, d)
+    cov = {}
+    if need_cov:
+        lth = losses[:, :, None] * th
+        cov = dict(sum_lth=lth.sum(axis=1), sum_lto=np.einsum("bn,bno->bo", losses, to),
+                   sum_lcross=lth.transpose(0, 2, 1) @ to)
+    return PhaseStats(
+        n_rows=c * chain.n_kept,
+        sum_th=th.sum(axis=1),
+        sum_to=to.sum(axis=1),
+        sum_cross=th.transpose(0, 2, 1) @ to,
+        sum_loss=losses.sum(axis=1),
+        **cov,
+    )
 
 
 def _stats_grad(inputs: np.ndarray, v_th, v_to, v_cross) -> np.ndarray:

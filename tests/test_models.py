@@ -227,10 +227,19 @@ class TestLayeredNet:
             np.testing.assert_allclose(result.state[i], ref.state, atol=1e-6)
 
     def test_batched_relaxation_divergence_is_typed(self, rng):
+        # every step in (0, 2) keeps the state bounded, so only an overflowing theta diverges
         net, theta = self.make(target=False)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="diverged"):
-                net.relax_free_batch(theta, rng.random((3, 5)), step=10.0, max_iters=1000)
+                net.relax_free_batch(np.full_like(theta, 1e308), rng.random((3, 5)), max_iters=1000)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 2.0, 10.0])
+    def test_batched_relaxation_rejects_unstable_step(self, rng, step):
+        net, theta = self.make(target=False)
+        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+            net.relax_free_batch(theta, rng.random((3, 5)), step=step)
+        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+            net.predict(theta, rng.random((3, 5)), step=step)
 
     def test_predict_returns_class_indices(self, rng):
         net, theta = self.make(target=False)

@@ -11,12 +11,14 @@ from thermoep.models import (
     random_spin_glass,
 )
 from thermoep.oracle import gibbs_table
+from thermoep.rng import make_generator
 from thermoep.sampler import (
     ChainConfig,
     DivergenceError,
     Kernel,
     column_ess,
     effective_sample_size,
+    langevin,
     relax_deterministic,
     run_chains,
 )
@@ -255,6 +257,25 @@ class TestChainCount:
         for k in (1, 3):
             small = run_chains(net, theta, 0.5, 0.1, replace(cfg, n_chains=k), init)
             np.testing.assert_allclose(small.samples, self.prefix(full, k), rtol=0, atol=1e-12)
+
+
+class TestRunChainsStreamLayout:
+    def test_row_zero_replays_per_step_draws_by_hand(self):
+        """Pins run_chains' layout: chain c's stream (seed, c) gives its init row,
+        then per step its noise and its accept uniform."""
+        model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 0.2])
+        theta = np.array([1.3])
+        cfg = standard_gaussian_config(n_steps=80, n_chains=4, burn_in=20, seed=6)
+        batch = run_chains(model, theta, 0.5, 1.0, cfg)
+
+        g = make_generator(6, 0)
+        init = g.standard_normal(3)[None, :]
+        kept, n_accept = langevin(
+            model.free_kernel(theta, 0.5, init), init.copy(),
+            lambda step: (g.standard_normal(3)[None, :], np.array([g.random()])), cfg, 1.0,
+        )
+        assert 0 < n_accept < cfg.n_steps
+        assert kept[0].tobytes() == batch.free_samples[0].tobytes()
 
 
 class GenericKernelNet(LayeredTanhEnergyNet):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -23,6 +24,18 @@ from thermoep.train import (
 @pytest.fixture(scope="module")
 def tiny_sets():
     return train_test_blobs(4, 10, 5, dim=12, noise=0.08, seed=2)
+
+
+def block_draw(seed, path, n_rows, chain, n_free):
+    """A langevin draw replaying the trainer's layout by hand: row r's
+    generator (seed, *path, r) gives its accept uniforms, then its noise."""
+    blocks = []
+    for r in range(n_rows):
+        g = make_generator(seed, *path, r)
+        blocks.append((g.random(chain.n_steps), g.standard_normal((chain.n_steps, n_free))))
+    uniforms = np.stack([u for u, _ in blocks], axis=1)
+    noise = np.stack([n for _, n in blocks], axis=1)
+    return lambda step: (noise[step], uniforms[step])
 
 
 def quick_config(**overrides):
@@ -178,13 +191,12 @@ class TestReplicaPhaseParity:
 
         # replay the phase on the same row streams, keeping every (h, o) row
         c = chain.n_chains
-        rows = []
-        gens = [make_generator(5, 1, 2, r) for r in range(len(inputs) * c)]
-        langevin(
+        kept, _ = langevin(
             _phase_kernel(net, theta, inputs, targets, 0.4, c),
-            np.zeros((len(inputs) * c, 4 + 3)), gens, chain, cfg.temperature,
-            lambda slot, z: rows.append(z.copy()),
+            np.zeros((len(inputs) * c, 4 + 3)),
+            block_draw(5, (1, 2), len(inputs) * c, chain, 4 + 3), chain, cfg.temperature,
         )
+        rows = kept.transpose(1, 0, 2)  # one (rows, n_free) block per kept step
 
         # every example owns the same number of rows, so the grand row mean
         # equals the mean over examples of per-example row means
@@ -195,6 +207,38 @@ class TestReplicaPhaseParity:
             total += net.grad_theta_energy_sum(theta, states)
             count += len(states)
         np.testing.assert_allclose(fast, total / count, atol=1e-10)
+
+    def test_phase_rows_draw_uniform_block_then_noise_block(self, monkeypatch):
+        """Pins the trainer's stream layout: each row's uniforms, then its noise, as blocks."""
+        net = LayeredTanhEnergyNet(6, 4, 3)
+        theta = init_layer_params(6, 4, 3, seed=0).values
+        inputs = np.random.default_rng(3).uniform(0.0, 1.0, size=(2, 6))
+        targets = one_hot([1, 2], 3)
+        chain = quick_config(n_chains=2, n_steps=15, burn_in=5).chain_config()
+        seen = []
+
+        def spy(*args):
+            out = langevin(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(importlib.import_module("thermoep.train"), "langevin", spy)
+        _sample_phase(net, theta, inputs, targets, 0.5, 0.1, chain, seed=4, path=(3, 1))
+        kept, _ = langevin(
+            _phase_kernel(net, theta, inputs, targets, 0.5, 2), np.zeros((4, 4 + 3)),
+            block_draw(4, (3, 1), 4, chain, 4 + 3), chain, 0.1,
+        )
+        assert kept.tobytes() == seen[0].tobytes()
+
+    def test_noise_block_equals_consecutive_chunks(self):
+        """A later layout may draw each row's noise in step chunks without moving a bit."""
+        g = make_generator(4, 3, 1, 0)
+        g.random(60)
+        block = g.standard_normal((60, 42))
+        g = make_generator(4, 3, 1, 0)
+        g.random(60)
+        chunks = np.concatenate([g.standard_normal((25, 42)), g.standard_normal((35, 42))])
+        assert chunks.tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.7])
     def test_phase_kernel_matches_model_kernel(self, beta):
