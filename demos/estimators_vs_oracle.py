@@ -6,7 +6,7 @@ standard error.  Both gradient routes are run: the two-phase contrast
 of energy-gradient expectations and the integrated loss/energy-gradient
 covariance.
 
-Run: python3 demos/estimators_vs_oracle.py  (about half a minute)
+Run: python3 demos/estimators_vs_oracle.py  (about ten seconds)
 """
 
 import numpy as np

@@ -228,6 +228,27 @@ class EnergyModel(ABC):
 
         return kernel
 
+    def chain_sums(self, theta: np.ndarray, init: np.ndarray, free: np.ndarray, weighted=False):
+        """Per-chain sums of dE/dtheta over kept states, shape (n_chains, param_dim).
+
+        init holds the chains' start rows, which carry the clamped
+        coordinates, and free (n_chains, n_kept, n_free) the kept free
+        block (SampleBatch's layout).  With weighted, returns (sums, losses
+        (n_chains, n_kept), loss-weighted sums).  This generic version
+        builds each chain's full rows; models with clamped blocks override it.
+        """
+        n_chains, n_kept = free.shape[:2]
+        sums = np.empty((n_chains, self.param_dim))
+        losses = np.empty((n_chains, n_kept)) if weighted else None
+        l_sums = np.empty_like(sums) if weighted else None
+        for c in range(n_chains):
+            rows = chain_rows(init[c], free[c], self.clamp_mask)
+            sums[c] = self.grad_theta_energy_sum(theta, rows)
+            if weighted:
+                losses[c] = self.loss_batch(rows)
+                l_sums[c] = self.grad_theta_energy_sum(theta, rows, weights=losses[c])
+        return (sums, losses, l_sums) if weighted else sums
+
     # -- housekeeping -----------------------------------------------------
 
     @property
@@ -276,6 +297,15 @@ def kernel_batch(model: EnergyModel, theta, beta, states: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(l)):
         raise EvaluationError("loss evaluated to a non-finite value in a batch")
     return e + b * l
+
+
+def chain_rows(init_row: np.ndarray, free: np.ndarray, clamp_mask: np.ndarray) -> np.ndarray:
+    """One chain's states as fresh (n_kept, state_dim) rows: the clamped
+    coordinates from its start row, the rest from free (n_kept, n_free)."""
+    rows = np.empty((len(free), clamp_mask.size))
+    rows[:, clamp_mask] = init_row[clamp_mask]
+    rows[:, ~clamp_mask] = free
+    return rows
 
 
 # Unchecked, unlike kernel_batch: a MALA proposal with a non-finite F is a rejection.

@@ -13,7 +13,10 @@ Four views of the same target:
 
 Each estimate carries a per-coordinate standard error computed from the
 scatter of independent chain means (n-1 normalisation), so "within k
-standard errors of the oracle" is a well-posed acceptance check.
+standard errors of the oracle" is a well-posed acceptance check.  The
+per-chain sums of dE/dtheta (and l * dE/dtheta) come from one
+EnergyModel.chain_sums call per batch, over the stored free block; the
+layered net computes them in feature space (models.py, feature_sums).
 """
 
 from __future__ import annotations
@@ -112,10 +115,7 @@ def _batch_meta(batch: SampleBatch) -> dict:
 
 def _chain_mean_grads(model: EnergyModel, theta, batch: SampleBatch) -> np.ndarray:
     """Per-chain means of dE/dtheta, shape (n_chains, param_dim)."""
-    return np.stack([
-        model.grad_theta_energy_sum(theta, batch.chain(c)) / batch.n_kept
-        for c in range(batch.n_chains)
-    ])
+    return model.chain_sums(theta, batch.init, batch.free_samples) / batch.n_kept
 
 
 def _chain_covariances(model: EnergyModel, theta, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -129,19 +129,12 @@ def _chain_covariances(model: EnergyModel, theta, batch: SampleBatch) -> tuple[n
     k = batch.n_kept
     if k < 2:
         raise EstimationError(f"covariance needs >= 2 kept samples per chain, got {k}")
-    losses = np.empty((batch.n_chains, k))
-    g_sums = np.empty((batch.n_chains, model.param_dim))
-    lg_sums = np.empty_like(g_sums)
-    for c in range(batch.n_chains):
-        chain = batch.chain(c)
-        losses[c] = model.loss_batch(chain)
-        g_sums[c] = model.grad_theta_energy_sum(theta, chain)
-        lg_sums[c] = model.grad_theta_energy_sum(theta, chain, weights=losses[c])
+    g_sums, losses, lg_sums = model.chain_sums(theta, batch.init, batch.free_samples, weighted=True)
     l_sums = losses.sum(axis=1)
     pooled_l = l_sums.sum() / (batch.n_chains * k)
     pooled_g = g_sums.sum(axis=0) / (batch.n_chains * k)
     # (lg - pooled_l g - l pooled_g + k pooled_l pooled_g) / (k - 1), evaluated left to
-    # right in place, so at most one more (n_chains, param_dim) array is live
+    # right in place on lg: with g, at most three (n_chains, param_dim) arrays are live
     covs = lg_sums
     covs -= pooled_l * g_sums
     covs -= l_sums[:, None] * pooled_g

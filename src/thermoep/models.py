@@ -258,6 +258,35 @@ def pack_layers(w1, w2, b_h, b_o) -> np.ndarray:
     return np.concatenate([np.ravel(w1), np.ravel(w2), np.ravel(b_h), np.ravel(b_o)])
 
 
+@dataclass
+class PhaseStats:
+    """Layered-net feature sums per group of kept rows sharing one clamped
+    input: an example's rows in the trainer, a chain's in the estimators."""
+
+    n_rows: int  # kept rows per group
+    sum_th: np.ndarray  # (G, H)
+    sum_to: np.ndarray  # (G, O)
+    sum_cross: np.ndarray  # (G, H, O)
+    losses: np.ndarray  # (G, n_rows)
+    sum_lth: np.ndarray | None = None
+    sum_lto: np.ndarray | None = None
+    sum_lcross: np.ndarray | None = None
+
+    def mean_loss(self) -> np.ndarray:
+        return self.losses.sum(axis=1) / self.n_rows
+
+    def cov_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-group Cov[l, feature] with n-1 normalisation."""
+        r = self.n_rows
+        if r < 2:
+            raise ValueError("covariance needs >= 2 kept rows per group")
+        ml = self.mean_loss()
+        c_th = (self.sum_lth - ml[:, None] * self.sum_th) / (r - 1)
+        c_to = (self.sum_lto - ml[:, None] * self.sum_to) / (r - 1)
+        c_cross = (self.sum_lcross - ml[:, None, None] * self.sum_cross) / (r - 1)
+        return c_th, c_to, c_cross
+
+
 def init_layer_params(n_in: int, n_hidden: int, n_out: int, seed: int) -> ParamVector:
     """Uniform(+/- sqrt(6 / (fan_in + fan_out))) weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -374,6 +403,54 @@ class LayeredTanhEnergyNet(EnergyModel):
             return f, np.concatenate([g_h, g_o], axis=1)
 
         return kernel
+
+    def feature_sums(self, free, targets, need_cov=False) -> PhaseStats:
+        """Feature sums over kept free rows (h, o) of shape (groups, rows, n_free).
+
+        targets is (groups, n_out), or (1, n_out) when shared.  dE/dtheta is
+        linear in the features (x (x) th, th (x) to, th, to) and a group's
+        rows share x, so these sums give each group's sum of dE/dtheta and,
+        with need_cov, of l * dE/dtheta.
+        """
+        nh = self.n_hidden
+        th, to = np.tanh(free[:, :, :nh]), np.tanh(free[:, :, nh:])
+        d = free[:, :, nh:] - targets[:, None, :]
+        losses = 0.5 * np.einsum("bnj,bnj->bn", d, d)
+        cov = {}
+        if need_cov:
+            lth = losses[:, :, None] * th
+            cov = dict(sum_lth=lth.sum(axis=1), sum_lto=np.einsum("bn,bno->bo", losses, to),
+                       sum_lcross=lth.transpose(0, 2, 1) @ to)
+        return PhaseStats(
+            n_rows=free.shape[1],
+            sum_th=th.sum(axis=1),
+            sum_to=to.sum(axis=1),
+            sum_cross=th.transpose(0, 2, 1) @ to,
+            losses=losses,
+            **cov,
+        )
+
+    def chain_sums(self, theta, init, free, weighted=False):
+        """EnergyModel.chain_sums from feature_sums, one chain at a time.
+
+        Chain c's sum is (-x (x) sum th, -sum th (x) to, -sum th, -sum to)
+        for its clamped input x; the weighted sum weights each row's
+        features by its loss.  Both agree with the generic sums to rounding.
+        """
+        n_chains, n_kept = free.shape[:2]
+        target = self._require_target() if weighted else np.zeros(self.n_out)  # no loss read
+        sums = np.empty((n_chains, self.param_dim))
+        losses = np.empty((n_chains, n_kept)) if weighted else None
+        l_sums = np.empty_like(sums) if weighted else None
+        for c in range(n_chains):
+            s = self.feature_sums(free[c : c + 1], target[None, :], need_cov=weighted)
+            x = init[c, : self.n_in]
+            sums[c] = pack_layers(-np.outer(x, s.sum_th), -s.sum_cross, -s.sum_th, -s.sum_to)
+            if weighted:
+                losses[c] = s.losses[0]
+                l_sums[c] = pack_layers(-np.outer(x, s.sum_lth), -s.sum_lcross, -s.sum_lth,
+                                        -s.sum_lto)
+        return (sums, losses, l_sums) if weighted else sums
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
         x, h, o = self.split_state(states)

@@ -34,6 +34,7 @@ from .core import (
     _kernel_grad_rows,
     as_nudge,
     as_temperature,
+    chain_rows,
     theta_fingerprint,
 )
 from .rng import make_generator
@@ -131,10 +132,7 @@ class SampleBatch:
 
     def chain(self, c: int) -> np.ndarray:
         """Chain c's kept states as a fresh (n_kept, state_dim) array."""
-        rows = np.empty((self.n_kept, self.clamp_mask.size))
-        rows[:, self.clamp_mask] = self.init[c, self.clamp_mask]
-        rows[:, ~self.clamp_mask] = self.free_samples[c]
-        return rows
+        return chain_rows(self.init[c], self.free_samples[c], self.clamp_mask)
 
     def per_chain(self) -> np.ndarray:
         return np.stack([self.chain(c) for c in range(self.n_chains)])
@@ -252,10 +250,15 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
 def _run_langevin(model, theta, beta, t, cfg, rows, gens):
     adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     z = rows[:, ~model.clamp_mask]
+    # langevin consumes each step's draws before asking for the next, so one buffer serves
+    noise, uniforms = np.empty(z.shape), np.empty(len(gens))
 
     def draw(step):
-        noise = np.stack([g.standard_normal(z.shape[1]) for g in gens])
-        return noise, np.array([g.random() for g in gens]) if adjusted else None
+        for c, g in enumerate(gens):
+            g.standard_normal(out=noise[c])
+            if adjusted:
+                uniforms[c] = g.random()
+        return noise, uniforms if adjusted else None
 
     kept, n_accept = langevin(model.free_kernel(theta, beta, rows), z, draw, cfg, t)
     return kept, n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None

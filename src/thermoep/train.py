@@ -20,8 +20,9 @@ n_free) noise as one block.  Because dE/dtheta for the layered net is
 linear in the features (x (x) tanh h, tanh h (x) tanh o, tanh h,
 tanh o), per-example phase statistics are summed in feature space, once
 per phase over the kept block, and turned into gradients with a couple
-of matmuls.  The reduction is checked against the generic per-example
-estimators in the test suite.
+of matmuls.  That reduction is LayeredTanhEnergyNet.feature_sums in
+models.py, which the estimators' chain_sums also reads; the test suite
+checks it against the generic per-row gradient sums.
 
 Per-epoch J is logged through its thermodynamic form, the integral over
 beta of the expected loss, estimated on the nudge levels the method
@@ -43,6 +44,7 @@ from .estimators import QuadratureSpec
 from .models import (
     FeedforwardBaseline,
     LayeredTanhEnergyNet,
+    PhaseStats,
     init_layer_params,
     pack_layers,
     unpack_layers,
@@ -218,34 +220,6 @@ class TrainResult:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class PhaseStats:
-    """Per-example feature sums over all kept (chain, step) rows."""
-
-    n_rows: int  # kept rows per example (n_chains * kept steps)
-    sum_th: np.ndarray  # (B, H)
-    sum_to: np.ndarray  # (B, O)
-    sum_cross: np.ndarray  # (B, H, O)
-    sum_loss: np.ndarray  # (B,)
-    sum_lth: np.ndarray | None = None
-    sum_lto: np.ndarray | None = None
-    sum_lcross: np.ndarray | None = None
-
-    def mean_loss(self) -> np.ndarray:
-        return self.sum_loss / self.n_rows
-
-    def cov_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-example Cov[l, feature] with n-1 normalisation."""
-        r = self.n_rows
-        if r < 2:
-            raise ValueError("covariance needs >= 2 kept rows per example")
-        ml = self.sum_loss / r
-        c_th = (self.sum_lth - ml[:, None] * self.sum_th) / (r - 1)
-        c_to = (self.sum_lto - ml[:, None] * self.sum_to) / (r - 1)
-        c_cross = (self.sum_lcross - ml[:, None, None] * self.sum_cross) / (r - 1)
-        return c_th, c_to, c_cross
-
-
 def _phase_kernel(net: LayeredTanhEnergyNet, theta, inputs, targets, beta: float, copies: int):
     """F and dF/d(h, o) for `copies` rows per example, as a langevin kernel.
 
@@ -299,7 +273,7 @@ def _sample_phase(
     features are summed per example once, after the run.
     """
     b, c = len(inputs), chain.n_chains
-    nh, n_free = net.n_hidden, net.n_hidden + net.n_out
+    n_free = net.n_hidden + net.n_out
     uniforms = np.empty((chain.n_steps, b * c))
     noise = np.empty((chain.n_steps, b * c, n_free))
     for r in range(b * c):
@@ -312,22 +286,7 @@ def _sample_phase(
         lambda step: (noise[step], uniforms[step]), chain, temperature,
     )
     kept = kept.reshape(b, c * chain.n_kept, n_free)  # every kept row of one example
-    th, to = np.tanh(kept[:, :, :nh]), np.tanh(kept[:, :, nh:])
-    d = kept[:, :, nh:] - targets[:, None, :]
-    losses = 0.5 * np.einsum("bnj,bnj->bn", d, d)
-    cov = {}
-    if need_cov:
-        lth = losses[:, :, None] * th
-        cov = dict(sum_lth=lth.sum(axis=1), sum_lto=np.einsum("bn,bno->bo", losses, to),
-                   sum_lcross=lth.transpose(0, 2, 1) @ to)
-    return PhaseStats(
-        n_rows=c * chain.n_kept,
-        sum_th=th.sum(axis=1),
-        sum_to=to.sum(axis=1),
-        sum_cross=th.transpose(0, 2, 1) @ to,
-        sum_loss=losses.sum(axis=1),
-        **cov,
-    )
+    return net.feature_sums(kept, targets, need_cov)
 
 
 def _stats_grad(inputs: np.ndarray, v_th, v_to, v_cross) -> np.ndarray:

@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from thermoep.core import EnergyModel
 from thermoep.estimators import (
     EstimationError,
     EstimatorMethod,
@@ -10,13 +13,18 @@ from thermoep.estimators import (
     grad_covariance_mc,
     grad_supervised_mc,
 )
-from thermoep.models import QuadraticEnergyModel, random_spin_glass
+from thermoep.models import (
+    LayeredTanhEnergyNet,
+    QuadraticEnergyModel,
+    init_layer_params,
+    random_spin_glass,
+)
 from thermoep.oracle import (
     exact_grad_J_contrast,
     exact_grad_J_covariance,
     exact_loss_energy_covariance,
 )
-from thermoep.sampler import ChainConfig, Kernel
+from thermoep.sampler import ChainConfig, Kernel, run_chains
 
 
 class TestQuadratureSpec:
@@ -162,3 +170,74 @@ class TestSupervisedEstimator:
         z = np.abs(est.grad.values - exact) / est.std_err
         assert np.max(z) < 4.0
         assert est.method is EstimatorMethod.SUPERVISED_COVARIANCE
+
+
+def legacy_chain_mean_grads(model, theta, batch):
+    """The per-chain loop over full rows that chain_sums replaced."""
+    return np.stack([
+        model.grad_theta_energy_sum(theta, batch.chain(c)) / batch.n_kept
+        for c in range(batch.n_chains)
+    ])
+
+
+def legacy_chain_covariances(model, theta, batch):
+    k = batch.n_kept
+    losses = np.empty((batch.n_chains, k))
+    g_sums = np.empty((batch.n_chains, model.param_dim))
+    lg_sums = np.empty_like(g_sums)
+    for c in range(batch.n_chains):
+        chain = batch.chain(c)
+        losses[c] = model.loss_batch(chain)
+        g_sums[c] = model.grad_theta_energy_sum(theta, chain)
+        lg_sums[c] = model.grad_theta_energy_sum(theta, chain, weights=losses[c])
+    l_sums = losses.sum(axis=1)
+    pooled_l = l_sums.sum() / (batch.n_chains * k)
+    pooled_g = g_sums.sum(axis=0) / (batch.n_chains * k)
+    covs = lg_sums
+    covs -= pooled_l * g_sums
+    covs -= l_sums[:, None] * pooled_g
+    covs += k * pooled_l * pooled_g
+    covs /= k - 1
+    return covs, l_sums / k
+
+
+class GenericSumsNet(LayeredTanhEnergyNet):
+    """The layered net reduced through the base class's full-row chain sums."""
+
+    chain_sums = EnergyModel.chain_sums
+
+
+class TestChainSums:
+    def test_glass_estimates_are_byte_equal_to_the_full_row_loop(self, small_glass, monkeypatch):
+        model, theta = small_glass
+        cfg = ChainConfig(n_steps=120, n_chains=8, burn_in=40, kernel=Kernel.GIBBS_SWEEP, seed=5)
+        quad = QuadratureSpec.trapezoid(3)
+        fast = [grad_contrast_mc(model, theta, 1.0, cfg),
+                grad_covariance_mc(model, theta, 1.0, quad, cfg)]
+        estimators = importlib.import_module("thermoep.estimators")
+        monkeypatch.setattr(estimators, "_chain_mean_grads", legacy_chain_mean_grads)
+        monkeypatch.setattr(estimators, "_chain_covariances", legacy_chain_covariances)
+        legacy = [grad_contrast_mc(model, theta, 1.0, cfg),
+                  grad_covariance_mc(model, theta, 1.0, quad, cfg)]
+        for mine, ref in zip(fast, legacy):
+            assert mine.grad.values.tobytes() == ref.grad.values.tobytes()
+            assert mine.std_err.tobytes() == ref.std_err.tobytes()
+
+    @pytest.mark.parametrize("n_chains", [1, 8])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_layered_net_feature_sums_match_full_rows(self, n_chains, beta, weighted):
+        target = np.eye(10)[3]
+        net = LayeredTanhEnergyNet(784, 32, 10, target=target)
+        theta = init_layer_params(784, 32, 10, seed=0).values
+        rng = np.random.default_rng(8)
+        init = np.stack([net.init_state(rng.uniform(0.0, 1.0, 784)) for _ in range(n_chains)])
+        cfg = ChainConfig(n_steps=60, n_chains=n_chains, burn_in=20, step_size=0.02, seed=9)
+        batch = run_chains(net, theta, beta, 0.1, cfg, init)
+        mine = net.chain_sums(theta, batch.init, batch.free_samples, weighted=weighted)
+        ref = GenericSumsNet(784, 32, 10, target=target).chain_sums(
+            theta, batch.init, batch.free_samples, weighted=weighted
+        )
+        for a, b in zip(*((mine, ref) if weighted else ((mine,), (ref,)))):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)

@@ -230,6 +230,38 @@ class TestReplicaPhaseParity:
         )
         assert kept.tobytes() == seen[0].tobytes()
 
+    @pytest.mark.parametrize("need_cov", [False, True])
+    def test_phase_sums_are_byte_equal_to_the_inline_reduction(self, need_cov):
+        """The model's feature_sums is the trainer's former in-line reduction, bit for bit."""
+        net = LayeredTanhEnergyNet(6, 4, 3)
+        theta = init_layer_params(6, 4, 3, seed=0).values
+        inputs = np.random.default_rng(5).uniform(0.0, 1.0, size=(3, 6))
+        targets = one_hot([0, 2, 1], 3)
+        chain = quick_config(n_chains=2, n_steps=16, burn_in=6).chain_config()
+        stats = _sample_phase(
+            net, theta, inputs, targets, 0.5, 0.1, chain, seed=7, path=(2, 3), need_cov=need_cov
+        )
+        kept, _ = langevin(
+            _phase_kernel(net, theta, inputs, targets, 0.5, 2), np.zeros((6, 4 + 3)),
+            block_draw(7, (2, 3), 6, chain, 4 + 3), chain, 0.1,
+        )
+        kept = kept.reshape(3, 2 * chain.n_kept, 4 + 3)
+        th, to = np.tanh(kept[:, :, :4]), np.tanh(kept[:, :, 4:])
+        d = kept[:, :, 4:] - targets[:, None, :]
+        losses = 0.5 * np.einsum("bnj,bnj->bn", d, d)
+        expected = dict(sum_th=th.sum(axis=1), sum_to=to.sum(axis=1),
+                        sum_cross=th.transpose(0, 2, 1) @ to, losses=losses)
+        if need_cov:
+            lth = losses[:, :, None] * th
+            expected.update(sum_lth=lth.sum(axis=1), sum_lto=np.einsum("bn,bno->bo", losses, to),
+                            sum_lcross=lth.transpose(0, 2, 1) @ to)
+        else:
+            assert stats.sum_lth is None and stats.sum_lcross is None
+        assert stats.n_rows == 2 * chain.n_kept
+        assert stats.mean_loss().tobytes() == (losses.sum(axis=1) / stats.n_rows).tobytes()
+        for name, value in expected.items():
+            assert getattr(stats, name).tobytes() == value.tobytes(), name
+
     def test_noise_block_equals_consecutive_chunks(self):
         """A later layout may draw each row's noise in step chunks without moving a bit."""
         g = make_generator(4, 3, 1, 0)
