@@ -61,7 +61,6 @@ from .sampler import (
     Kernel,
     SampleBatch,
     effective_sample_size,
-    relax_deterministic,
     run_chains,
 )
 from .train import Checkpoint, TrainConfig, TrainResult, load_checkpoint, save_checkpoint, train
@@ -120,7 +119,6 @@ __all__ = [
     "objective_kernel",
     "one_hot",
     "random_spin_glass",
-    "relax_deterministic",
     "run_chains",
     "run_consistency_suite",
     "save_checkpoint",

@@ -287,6 +287,22 @@ class PhaseStats:
         return c_th, c_to, c_cross
 
 
+def feature_grad(inputs: np.ndarray, v_th, v_to, v_cross) -> np.ndarray:
+    """Map per-example feature-space vectors to the mean theta-gradient.
+
+    dE/dtheta = (-x (x) th, -th (x) to, -th, -to) for the clamped input x,
+    so any per-example linear statistic of the features (rows of v_th,
+    v_to, v_cross) turns into the matching statistic of the gradient,
+    averaged over the examples (rows of inputs).
+    """
+    b = len(inputs)
+    g_w1 = -(inputs.T @ v_th) / b
+    g_w2 = -v_cross.mean(axis=0)
+    g_bh = -v_th.mean(axis=0)
+    g_bo = -v_to.mean(axis=0)
+    return pack_layers(g_w1, g_w2, g_bh, g_bo)
+
+
 def init_layer_params(n_in: int, n_hidden: int, n_out: int, seed: int) -> ParamVector:
     """Uniform(+/- sqrt(6 / (fan_in + fan_out))) weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -335,9 +351,6 @@ class LayeredTanhEnergyNet(EnergyModel):
     def with_target(self, target) -> "LayeredTanhEnergyNet":
         return LayeredTanhEnergyNet(self.n_in, self.n_hidden, self.n_out, target)
 
-    def unpack(self, theta):
-        return unpack_layers(theta, self.n_in, self.n_hidden, self.n_out)
-
     def split_state(self, states: np.ndarray):
         """Rows (or a single state) split into the (x, h, o) blocks."""
         i, j = self.n_in, self.n_in + self.n_hidden
@@ -354,14 +367,26 @@ class LayeredTanhEnergyNet(EnergyModel):
 
     # -- energy ---------------------------------------------------------
 
-    def _free_rows(self, theta, xw1, h, o, energy=True, grad=True):
-        """E per row and (dE/dh, dE/do) given the input drive xw1 = x @ W1.
+    def _operands(self, theta, x, tile=False):
+        """theta's (W1, W2, b_h, b_o) views, the input drive x @ W1 and the
+        biases as _free_rows adds them to the rows' drives.  With tile, the
+        biases are repeated over the rows, for callers that evaluate the
+        same rows many times: a contiguous add gives the same bits as a
+        broadcast one, at a third of the cost.
+        """
+        w1, w2, b_h, b_o = unpack_layers(theta, self.n_in, self.n_hidden, self.n_out)
+        n = len(x) if tile else 1
+        return w1, w2, b_h, b_o, x @ w1, np.tile(b_h, (n, 1)), np.tile(b_o, (n, 1))
+
+    def _free_rows(self, ops, h, o, energy=True, grad=True):
+        """E per row and (dE/dh, dE/do) given the rows' _operands.
 
         The one copy of the energy formula; energy_batch,
-        grad_state_energy_batch and free_kernel read it.  Either result
-        is None when not asked for.
+        grad_state_energy_batch, free_kernel (run_chains and the trainer)
+        and relax_free_batch read it.  Either result is None when not
+        asked for.
         """
-        _, w2, b_h, b_o = self.unpack(theta)
+        _, w2, b_h, b_o, xw1, bias_h, bias_o = ops
         th, to = np.tanh(h), np.tanh(o)
         th_w2 = th @ w2
         f = g = None
@@ -370,36 +395,50 @@ class LayeredTanhEnergyNet(EnergyModel):
             drive = np.einsum("ij,ij->i", xw1, th) + np.einsum("ij,ij->i", th_w2, to)
             f = quad - drive - th @ b_h - to @ b_o
         if grad:
-            g = (h - (1.0 - th**2) * (xw1 + to @ w2.T + b_h),
-                 o - (1.0 - to**2) * (th_w2 + b_o))
+            a_h = to @ w2.T
+            a_h += xw1
+            a_h += bias_h
+            th_w2 += bias_o  # the energy has read it
+            for z, act, a in ((h, th, a_h), (o, to, th_w2)):  # z - (1 - act^2) * a, over a
+                s = act * act
+                np.subtract(1.0, s, out=s)
+                s *= a
+                np.subtract(z, s, out=a)
+            g = (a_h, th_w2)
         return f, g
 
     def energy_batch(self, theta, states):
         x, h, o = self.split_state(states)
-        return self._free_rows(theta, x @ self.unpack(theta)[0], h, o, grad=False)[0]
+        return self._free_rows(self._operands(theta, x), h, o, grad=False)[0]
 
     def grad_state_energy_batch(self, theta, states):
-        w1 = self.unpack(theta)[0]
         x, h, o = self.split_state(states)
-        g_h, g_o = self._free_rows(theta, x @ w1, h, o, energy=False)[1]
-        return np.concatenate([-np.tanh(h) @ w1.T, g_h, g_o], axis=-1)
+        ops = self._operands(theta, x)
+        g_h, g_o = self._free_rows(ops, h, o, energy=False)[1]
+        return np.concatenate([-np.tanh(h) @ ops[0].T, g_h, g_o], axis=-1)
 
-    def free_kernel(self, theta, beta, rows):
+    def free_kernel(self, theta, beta, rows, targets=None):
         """F and dF/d(h, o) over the free block, with x @ W1 computed once.
 
-        Bit-equal to the generic kernel: the same formula on the same
-        operands, without the clamped-input gradient it discards.
+        targets (rows, n_out) gives each row its own target; by default
+        every row uses the bound one.  Bit-equal to the generic kernel:
+        the same formula on the same operands, without the clamped-input
+        gradient it discards.
         """
-        xw1 = self.split_state(rows)[0] @ self.unpack(theta)[0]
+        ops = self._operands(theta, self.split_state(rows)[0], tile=True)
         nh = self.n_hidden
+        if beta != 0.0 and targets is None:
+            targets = self._require_target()
 
         def kernel(z):
-            h, o = z[:, :nh], z[:, nh:]
-            f, (g_h, g_o) = self._free_rows(theta, xw1, h, o)
+            h, o = z[:, :nh].copy(), z[:, nh:].copy()  # contiguous blocks: faster ufuncs
+            f, (g_h, g_o) = self._free_rows(ops, h, o)
             if beta != 0.0:
-                f = f + beta * self._output_loss(o)
-                g_h = g_h + beta * 0.0  # as the generic beta * dl/dh: -0.0 becomes +0.0
-                g_o = g_o + beta * (o - self.target)
+                d = o - targets
+                f += beta * (0.5 * np.einsum("ij,ij->i", d, d))
+                g_h += beta * 0.0  # as the generic beta * dl/dh: -0.0 becomes +0.0
+                d *= beta
+                g_o += d
             return f, np.concatenate([g_h, g_o], axis=1)
 
         return kernel
@@ -433,9 +472,9 @@ class LayeredTanhEnergyNet(EnergyModel):
     def chain_sums(self, theta, init, free, weighted=False):
         """EnergyModel.chain_sums from feature_sums, one chain at a time.
 
-        Chain c's sum is (-x (x) sum th, -sum th (x) to, -sum th, -sum to)
-        for its clamped input x; the weighted sum weights each row's
-        features by its loss.  Both agree with the generic sums to rounding.
+        Chain c's sum is feature_grad over its one clamped input x; the
+        weighted sum weights each row's features by its loss.  Both agree
+        with the generic sums to rounding.
         """
         n_chains, n_kept = free.shape[:2]
         target = self._require_target() if weighted else np.zeros(self.n_out)  # no loss read
@@ -444,12 +483,11 @@ class LayeredTanhEnergyNet(EnergyModel):
         l_sums = np.empty_like(sums) if weighted else None
         for c in range(n_chains):
             s = self.feature_sums(free[c : c + 1], target[None, :], need_cov=weighted)
-            x = init[c, : self.n_in]
-            sums[c] = pack_layers(-np.outer(x, s.sum_th), -s.sum_cross, -s.sum_th, -s.sum_to)
+            x = init[c : c + 1, : self.n_in]
+            sums[c] = feature_grad(x, s.sum_th, s.sum_to, s.sum_cross)
             if weighted:
                 losses[c] = s.losses[0]
-                l_sums[c] = pack_layers(-np.outer(x, s.sum_lth), -s.sum_lcross, -s.sum_lth,
-                                        -s.sum_lto)
+                l_sums[c] = feature_grad(x, s.sum_lth, s.sum_lto, s.sum_lcross)
         return (sums, losses, l_sums) if weighted else sums
 
     def grad_theta_energy_sum(self, theta, states, weights=None):
@@ -474,12 +512,9 @@ class LayeredTanhEnergyNet(EnergyModel):
             raise ValueError("no target bound to this network; use with_target()")
         return self.target
 
-    def _output_loss(self, o):
-        d = o - self._require_target()
-        return 0.5 * np.einsum("ij,ij->i", d, d)
-
     def loss_batch(self, states):
-        return self._output_loss(self.split_state(states)[2])
+        d = self.split_state(states)[2] - self._require_target()
+        return 0.5 * np.einsum("ij,ij->i", d, d)
 
     def grad_state_loss_batch(self, states):
         t = self._require_target()
@@ -496,22 +531,20 @@ class LayeredTanhEnergyNet(EnergyModel):
         """Gradient descent on E over (h, o) with x clamped, batched over rows.
 
         The input drive x @ W1 is constant during relaxation and is
-        hoisted out of the loop; otherwise identical to running the
-        generic relaxation per example.  A step maps z to (1 - step) z
+        computed once; each step reads the model's one gradient formula
+        (_free_rows), so a row takes the same steps as generic gradient
+        descent on its free coordinates.  A step maps z to (1 - step) z
         plus a bounded drive, so step must lie in (0, 2).
         """
         if not (0.0 < step < 2.0):
             raise ValueError(f"relaxation step must lie in (0, 2), got {step}")
-        w1, w2, b_h, b_o = self.unpack(np.asarray(theta, dtype=np.float64))
         x = np.asarray(inputs, dtype=np.float64)
-        drive = x @ w1 + b_h
+        ops = self._operands(np.asarray(theta, dtype=np.float64), x, tile=True)
         h = np.zeros((len(x), self.n_hidden))
         o = np.zeros((len(x), self.n_out))
         gnorm, iters = np.inf, 0
         for iters in range(1, max_iters + 1):
-            th, to = np.tanh(h), np.tanh(o)
-            g_h = h - (1.0 - th**2) * (drive + to @ w2.T)
-            g_o = o - (1.0 - to**2) * (th @ w2 + b_o)
+            g_h, g_o = self._free_rows(ops, h, o, energy=False)[1]
             gnorm = max(np.max(np.abs(g_h)), np.max(np.abs(g_o)))
             if not np.isfinite(gnorm):
                 raise DivergenceError(f"free-phase relaxation diverged at iteration {iters}")

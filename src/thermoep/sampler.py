@@ -10,10 +10,11 @@ spin-glass models the first k chains of a run are bit-identical to a
 k-chain run; for the layered net they agree only to rounding, because a
 BLAS matrix product over the rows rounds differently with the row count.
 The continuous kernels share one Langevin loop, langevin(), which the
-trainer also drives; its caller supplies the kernel over the free block
-and the random numbers.  run_chains takes the kernel from the model
-(EnergyModel.free_kernel) and draws per step: chain c's noise, then (on
-the adjusted kernel) its accept uniform, from stream (seed, c).
+trainer also drives with the model's kernel and per-row targets; its
+caller supplies the kernel over the free block and the random numbers.
+run_chains takes the kernel from the model (EnergyModel.free_kernel) and
+draws per step: chain c's noise, then (on the adjusted kernel) its
+accept uniform, from stream (seed, c).
 
 A run stores only what moves: the kept free coordinates of every chain
 and the init rows, which hold the clamped ones.  Full states, as
@@ -31,7 +32,6 @@ import numpy as np
 from .core import (
     EnergyModel,
     StateKind,
-    _kernel_grad_rows,
     as_nudge,
     as_temperature,
     chain_rows,
@@ -321,38 +321,6 @@ class RelaxResult:
     converged: bool
     iterations: int
     grad_inf_norm: float
-
-
-def relax_deterministic(
-    model: EnergyModel,
-    theta,
-    beta,
-    init,
-    step_size: float = 0.1,
-    max_iters: int = 1000,
-    tol: float = 1e-8,
-) -> RelaxResult:
-    """Noise-free gradient descent on F(theta, beta, .) over free coordinates.
-
-    Used for deterministic predictions (the zero-temperature limit of
-    the free phase) and for locating nudged minima in small tests.
-    """
-    beta = as_nudge(beta)
-    theta = model.validate_theta(theta)
-    if model.state_kind is not StateKind.CONTINUOUS:
-        raise ValueError("deterministic relaxation requires a continuous state space")
-    s = np.array(init, dtype=np.float64, copy=True)
-    free = ~model.clamp_mask
-    gnorm, iters = np.inf, 0
-    for iters in range(1, max_iters + 1):
-        g = _kernel_grad_rows(model, theta, beta, s[None, :])[0]
-        gnorm = float(np.max(np.abs(g[free])))
-        if not np.isfinite(gnorm):
-            raise DivergenceError(f"relaxation diverged at iteration {iters}")
-        if gnorm <= tol:
-            break
-        s[free] -= step_size * g[free]
-    return RelaxResult(s, gnorm <= tol, iters, gnorm)
 
 
 def effective_sample_size(series) -> float:

@@ -13,16 +13,18 @@ layout:
 
 Minibatches are sampled as one replica block: every (example, chain)
 pair is a row advancing under MALA in lockstep, with its own RNG stream
-derived from (seed, epoch, batch, phase, row).  The trainer supplies a
-kernel and the random numbers to the sampler's Langevin loop: each row
-draws its n_steps accept uniforms as one block, then its (n_steps,
-n_free) noise as one block.  Because dE/dtheta for the layered net is
-linear in the features (x (x) tanh h, tanh h (x) tanh o, tanh h,
-tanh o), per-example phase statistics are summed in feature space, once
-per phase over the kept block, and turned into gradients with a couple
-of matmuls.  That reduction is LayeredTanhEnergyNet.feature_sums in
-models.py, which the estimators' chain_sums also reads; the test suite
-checks it against the generic per-row gradient sums.
+derived from (seed, epoch, batch, phase, row).  The kernel comes from
+the model (LayeredTanhEnergyNet.free_kernel, each row with its example's
+target) and the trainer supplies the random numbers to the sampler's
+Langevin loop: each row draws its n_steps accept uniforms as one block,
+then its (n_steps, n_free) noise as one block.  Because dE/dtheta for
+the layered net is linear in the features (x (x) tanh h, tanh h (x)
+tanh o, tanh h, tanh o), per-example phase statistics are summed in
+feature space, once per phase over the kept block, and turned into
+gradients with a couple of matmuls.  That reduction is
+LayeredTanhEnergyNet.feature_sums plus feature_grad in models.py, which
+the estimators' chain_sums also reads; the test suite checks it against
+the generic per-row gradient sums.
 
 Per-epoch J is logged through its thermodynamic form, the integral over
 beta of the expected loss, estimated on the nudge levels the method
@@ -45,9 +47,8 @@ from .models import (
     FeedforwardBaseline,
     LayeredTanhEnergyNet,
     PhaseStats,
+    feature_grad,
     init_layer_params,
-    pack_layers,
-    unpack_layers,
 )
 from .rng import (
     FREE_PHASE,
@@ -220,39 +221,6 @@ class TrainResult:
 # ----------------------------------------------------------------------
 
 
-def _phase_kernel(net: LayeredTanhEnergyNet, theta, inputs, targets, beta: float, copies: int):
-    """F and dF/d(h, o) for `copies` rows per example, as a langevin kernel.
-
-    Rows hold the free block (h, o); the input drive x @ W1 + b_h is
-    constant per row and computed once.
-    """
-    w1, w2, b_h, b_o = unpack_layers(theta, net.n_in, net.n_hidden, net.n_out)
-    drive = np.repeat(inputs @ w1 + b_h, copies, axis=0)
-    tg = np.repeat(targets, copies, axis=0)
-    nh = net.n_hidden
-
-    def kernel(z):
-        h, o = z[:, :nh].copy(), z[:, nh:].copy()  # contiguous blocks: faster ufuncs
-        th, to = np.tanh(h), np.tanh(o)
-        th_w2 = th @ w2
-        f = (
-            0.5 * np.einsum("ij,ij->i", h, h)
-            + 0.5 * np.einsum("ij,ij->i", o, o)
-            - np.einsum("ij,ij->i", th, drive)
-            - np.einsum("ij,ij->i", to, th_w2)
-            - to @ b_o
-        )
-        g_h = h - (1.0 - th**2) * (drive + to @ w2.T)
-        g_o = o - (1.0 - to**2) * (th_w2 + b_o)
-        if beta != 0.0:
-            d = o - tg
-            f = f + beta * 0.5 * np.einsum("ij,ij->i", d, d)
-            g_o = g_o + beta * d
-        return f, np.concatenate([g_h, g_o], axis=1)
-
-    return kernel
-
-
 def _sample_phase(
     net: LayeredTanhEnergyNet,
     theta: np.ndarray,
@@ -281,27 +249,14 @@ def _sample_phase(
         uniforms[:, r] = g.random(chain.n_steps)
         noise[:, r] = g.standard_normal((chain.n_steps, n_free))
 
+    rows = np.zeros((b, c, net.state_dim))  # the clamped input of row r's example
+    rows[:, :, : net.n_in] = inputs[:, None]
     kept, _ = langevin(
-        _phase_kernel(net, theta, inputs, targets, beta, c), np.zeros((b * c, n_free)),
-        lambda step: (noise[step], uniforms[step]), chain, temperature,
+        net.free_kernel(theta, beta, rows.reshape(b * c, -1), np.repeat(targets, c, axis=0)),
+        np.zeros((b * c, n_free)), lambda step: (noise[step], uniforms[step]), chain, temperature,
     )
     kept = kept.reshape(b, c * chain.n_kept, n_free)  # every kept row of one example
     return net.feature_sums(kept, targets, need_cov)
-
-
-def _stats_grad(inputs: np.ndarray, v_th, v_to, v_cross) -> np.ndarray:
-    """Map per-example feature-space vectors to the mean theta-gradient.
-
-    dE/dtheta = (-x (x) th, -th (x) to, -th, -to), so any per-example
-    linear statistic of the features turns into the matching statistic
-    of the gradient.
-    """
-    b = len(inputs)
-    g_w1 = -(inputs.T @ v_th) / b
-    g_w2 = -v_cross.mean(axis=0)
-    g_bh = -v_th.mean(axis=0)
-    g_bo = -v_to.mean(axis=0)
-    return pack_layers(g_w1, g_w2, g_bh, g_bo)
 
 
 def _ep_minibatch(net, theta, inputs, targets, cfg: TrainConfig, path) -> tuple[np.ndarray, float]:
@@ -315,7 +270,7 @@ def _ep_minibatch(net, theta, inputs, targets, cfg: TrainConfig, path) -> tuple[
         cfg.seed, path + (FREE_PHASE,),
     )
     r = nudged.n_rows
-    grad = (1.0 / cfg.beta) * _stats_grad(
+    grad = (1.0 / cfg.beta) * feature_grad(
         inputs,
         (nudged.sum_th - free.sum_th) / r,
         (nudged.sum_to - free.sum_to) / r,
@@ -343,7 +298,7 @@ def _path_minibatch(net, theta, inputs, targets, cfg: TrainConfig, path) -> tupl
         acc_to += weight * c_to
         acc_cross += weight * c_cross
         j_est += weight * float(stats.mean_loss().mean())
-    grad = -(1.0 / cfg.temperature) * _stats_grad(inputs, acc_th, acc_to, acc_cross)
+    grad = -(1.0 / cfg.temperature) * feature_grad(inputs, acc_th, acc_to, acc_cross)
     return grad, j_est
 
 

@@ -36,3 +36,12 @@ def test_sampler_quality_demo_prints_its_tables():
 ])
 def test_demo_runs_and_prints_its_marker(name, marker):
     assert marker in run_demo(name)
+
+
+def test_training_comparison_demo_prints_four_methods():
+    out = run_demo("training_comparison.py")
+    assert "chance accuracy: " in out
+    table = out[out.index("method"):].splitlines()[1:5]
+    names = ["backprop", "ep  beta=1.0", "path integral", "ep  beta=0.01"]
+    for row, name in zip(table, names):
+        assert row.startswith(name) and len(row[len(name):].split()) == 3

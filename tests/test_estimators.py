@@ -17,6 +17,7 @@ from thermoep.models import (
     LayeredTanhEnergyNet,
     QuadraticEnergyModel,
     init_layer_params,
+    pack_layers,
     random_spin_glass,
 )
 from thermoep.oracle import (
@@ -201,6 +202,21 @@ def legacy_chain_covariances(model, theta, batch):
     return covs, l_sums / k
 
 
+def packed_chain_sums(net, init, free, weighted=False):
+    """The layered net's chain_sums with each chain's outer products packed by hand."""
+    target = net.target if weighted else np.zeros(net.n_out)
+    sums, losses, l_sums = [], [], []
+    for c in range(len(free)):
+        s = net.feature_sums(free[c : c + 1], target[None, :], need_cov=weighted)
+        x = init[c, : net.n_in]
+        sums.append(pack_layers(-np.outer(x, s.sum_th), -s.sum_cross, -s.sum_th, -s.sum_to))
+        if weighted:
+            losses.append(s.losses[0])
+            l_sums.append(pack_layers(-np.outer(x, s.sum_lth), -s.sum_lcross, -s.sum_lth,
+                                      -s.sum_lto))
+    return (np.stack(sums), np.stack(losses), np.stack(l_sums)) if weighted else np.stack(sums)
+
+
 class GenericSumsNet(LayeredTanhEnergyNet):
     """The layered net reduced through the base class's full-row chain sums."""
 
@@ -241,3 +257,19 @@ class TestChainSums:
         for a, b in zip(*((mine, ref) if weighted else ((mine,), (ref,)))):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_chains", [1, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_layered_net_sums_are_byte_equal_to_packed_outer_products(self, n_chains, weighted):
+        """feature_grad over one chain's input is the hand-packed (-x (x) sum th, ...) sum."""
+        net = LayeredTanhEnergyNet(784, 32, 10, target=np.eye(10)[3])
+        rng = np.random.default_rng(8)
+        theta = init_layer_params(784, 32, 10, seed=0).values.copy()
+        theta[-42:] = rng.normal(scale=0.3, size=42)  # non-zero biases
+        init = np.stack([net.init_state(rng.uniform(0.0, 1.0, 784)) for _ in range(n_chains)])
+        cfg = ChainConfig(n_steps=60, n_chains=n_chains, burn_in=20, step_size=0.02, seed=9)
+        batch = run_chains(net, theta, 0.5, 0.1, cfg, init)
+        mine = net.chain_sums(theta, batch.init, batch.free_samples, weighted=weighted)
+        ref = packed_chain_sums(net, batch.init, batch.free_samples, weighted)
+        for a, b in zip(*((mine, ref) if weighted else ((mine,), (ref,)))):
+            assert a.tobytes() == b.tobytes()

