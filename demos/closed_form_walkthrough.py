@@ -13,10 +13,10 @@ import numpy as np
 
 from thermoep.models import TwoStateModel
 from thermoep.oracle import (
+    EnergyTable,
     contrastive_objective,
     decomposition_residual,
     exact_grad_J_contrast,
-    expected_loss,
     free_energy,
     kl_nudged_free,
     log_partition_function,
@@ -51,14 +51,15 @@ print(f"dJ/dtheta    enumeration {grad[0]:.16f}  by hand {grad_hand:.16f}")
 
 # The decomposition J = E_rho1[l] + T * KL(rho1 || rho0) splits the
 # objective into achieved loss plus the entropic price of the nudge.
-loss_1 = expected_loss(model, theta, 1.0, T)
+table = EnergyTable.build(model, theta)  # both states' energies and losses
+loss_1 = table.expected_loss(1.0, T)
 kl = kl_nudged_free(model, theta, T)
 print(f"E_rho1[l]    enumeration {loss_1:.16f}   by hand {sigma(-1.0):.16f}")
 print(f"KL(1||0)     enumeration {kl:.16f}")
 print(f"residual J - (E_rho1[l] + T*KL) = {decomposition_residual(model, theta, T):.3e}")
 
 # The supervised bound J <= E_rho0[l]: the free phase can only do worse.
-loss_0 = expected_loss(model, theta, 0.0, T)
+loss_0 = table.expected_loss(0.0, T)
 print(f"bound        J = {j:.6f} <= E_rho0[l] = {loss_0:.6f}")
 
 # Temperature interpolates between the hard minimum gap (T -> 0) and an

@@ -10,6 +10,7 @@ for finite-nudge equilibrium propagation on a layered tanh network.
 
 from .core import (
     EPS_ABS,
+    DivergenceError,
     EnergyModel,
     EvaluationError,
     NudgeStrength,
@@ -47,7 +48,6 @@ from .oracle import (
     exact_dA_dbeta,
     exact_grad_J_contrast,
     exact_grad_J_covariance,
-    expected_loss,
     free_energy,
     gibbs_table,
     kl_nudged_free,
@@ -57,7 +57,6 @@ from .oracle import (
 )
 from .sampler import (
     ChainConfig,
-    DivergenceError,
     Kernel,
     SampleBatch,
     effective_sample_size,
@@ -104,7 +103,6 @@ __all__ = [
     "exact_dA_dbeta",
     "exact_grad_J_contrast",
     "exact_grad_J_covariance",
-    "expected_loss",
     "free_energy",
     "gibbs_table",
     "grad_classical_ep",

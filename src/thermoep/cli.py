@@ -409,6 +409,8 @@ DIAGNOSE_SPEC = {
     "seed": "0",
 }
 
+MALA_BATCHES = 10  # contiguous batches per chain behind the MALA check's standard errors
+
 
 def _gibbs_tv_check(options) -> tuple[bool, str]:
     spins = get_int(options, "spins")
@@ -436,6 +438,23 @@ def _gibbs_tv_check(options) -> tuple[bool, str]:
     )
 
 
+def _gaussian_moment_z(per_chain) -> tuple[np.ndarray, np.ndarray]:
+    """|estimate - target| / standard error of a standard Gaussian's mean and covariance, from
+    the means of MALA_BATCHES contiguous batches per chain of per_chain (chains x kept x dim);
+    covariances are centred on the pooled mean (batch means, Flegal & Jones 2010)."""
+    chains, kept, dim = per_chain.shape
+    size = kept // MALA_BATCHES
+    if size == 0:
+        raise ValueError(f"the MALA check needs >= {MALA_BATCHES} kept steps per chain")
+    rows = per_chain[:, : size * MALA_BATCHES].reshape(chains * MALA_BATCHES, size, dim)
+    means = rows.mean(axis=1)
+    centred = rows - means.mean(axis=0)
+    seconds = np.einsum("bki,bkj->bij", centred, centred) / size
+    se = lambda x: x.std(axis=0, ddof=1) / np.sqrt(len(x))
+    mean_z = np.abs(means.mean(axis=0)) / se(means)
+    return mean_z, np.abs(seconds.mean(axis=0) - np.eye(dim)) / se(seconds)
+
+
 def _mala_gaussian_check(options) -> tuple[bool, list[str]]:
     dim = get_int(options, "dim")
     model = QuadraticEnergyModel(dim)
@@ -448,16 +467,7 @@ def _mala_gaussian_check(options) -> tuple[bool, list[str]]:
         seed=get_int(options, "seed") + 1,
     )
     batch = run_chains(model, theta, 0.0, 1.0, cfg)
-    per = batch.per_chain()
-    c = batch.n_chains
-    chain_means = per.mean(axis=1)
-    mean = chain_means.mean(axis=0)
-    se_mean = np.sqrt(chain_means.var(axis=0, ddof=1) / c)
-    mean_z = np.abs(mean) / se_mean
-    chain_covs = np.stack([np.cov(chain.T, ddof=1) for chain in per])
-    cov = chain_covs.mean(axis=0)
-    se_cov = np.sqrt(chain_covs.var(axis=0, ddof=1) / c)
-    cov_z = np.abs(cov - np.eye(dim)) / se_cov
+    mean_z, cov_z = _gaussian_moment_z(batch.per_chain())
     ess_total = float(batch.ess.sum())
     ess_floor = get_float(options, "ess_floor")
 

@@ -28,6 +28,10 @@ class EvaluationError(ValueError):
     """A non-finite energy or loss value was produced."""
 
 
+class DivergenceError(FloatingPointError):
+    """A relaxation or a training run produced a non-finite state or parameter."""
+
+
 class StateKind(Enum):
     CONTINUOUS = "continuous"
     BINARY = "binary"

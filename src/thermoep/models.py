@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EnergyModel, ParamVector, StateKind
-from .sampler import DivergenceError, RelaxResult
+from .core import DivergenceError, EnergyModel, ParamVector, StateKind
 
 
 @dataclass(frozen=True)
@@ -312,6 +311,16 @@ def init_layer_params(n_in: int, n_hidden: int, n_out: int, seed: int) -> ParamV
     w2 = rng.uniform(-r2, r2, size=(n_hidden, n_out))
     flat = pack_layers(w1, w2, np.zeros(n_hidden), np.zeros(n_out))
     return ParamVector(flat, layer_segments(n_in, n_hidden, n_out))
+
+
+@dataclass
+class RelaxResult:
+    """End point of relax_free_batch: one relaxed state per example."""
+
+    state: np.ndarray
+    converged: bool
+    iterations: int
+    grad_inf_norm: float
 
 
 class LayeredTanhEnergyNet(EnergyModel):

@@ -244,13 +244,9 @@ def _objective_longdouble(table: EnergyTable, theta, temperature):
     return a(np.longdouble(1.0)) - a(np.longdouble(0.0))
 
 
-def expected_loss(model, theta, beta, temperature=1.0) -> float:
-    return EnergyTable.build(model, theta).expected_loss(beta, temperature)
-
-
 def exact_dA_dbeta(model, theta, beta, temperature=1.0) -> float:
-    """dA/dbeta = E_rho_beta[l]; identical to expected_loss by the identity."""
-    return expected_loss(model, theta, beta, temperature)
+    """dA/dbeta, which by the identity is the expected loss E_rho_beta[l]."""
+    return EnergyTable.build(model, theta).expected_loss(beta, temperature)
 
 
 def exact_grad_J_contrast(model, theta, temperature=1.0, beta=1.0) -> np.ndarray:

@@ -9,12 +9,12 @@ numbers however many chains run.  For the bundled quadratic and
 spin-glass models the first k chains of a run are bit-identical to a
 k-chain run; for the layered net they agree only to rounding, because a
 BLAS matrix product over the rows rounds differently with the row count.
-The continuous kernels share one Langevin loop, langevin(), which the
-trainer also drives with the model's kernel and per-row targets; its
-caller supplies the kernel over the free block and the random numbers.
-run_chains takes the kernel from the model (EnergyModel.free_kernel) and
-draws per step: chain c's noise, then (on the adjusted kernel) its
-accept uniform, from stream (seed, c).
+There are two kernels: Gibbs sweeps for binary states and
+Metropolis-adjusted Langevin (MALA) for continuous ones.  MALA is one
+loop, langevin(), whose caller supplies the kernel over the free block
+and the random numbers; the trainer drives it too.  run_chains takes the
+kernel from the model (EnergyModel.free_kernel) and draws per step chain
+c's noise, then its accept uniform, from stream (seed, c).
 
 A run stores only what moves: the kept free coordinates of every chain
 and the init rows, which hold the clamped ones.  Full states, as
@@ -41,13 +41,8 @@ from .rng import make_generator
 
 
 class Kernel(Enum):
-    LANGEVIN_UNADJUSTED = "langevin_unadjusted"
     LANGEVIN_ADJUSTED = "langevin_adjusted"
     GIBBS_SWEEP = "gibbs_sweep"
-
-
-class DivergenceError(FloatingPointError):
-    """An unadjusted update or a relaxation produced a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,8 @@ class ChainConfig:
             raise ValueError("step_size must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not isinstance(self.kernel, Kernel):
+            raise ValueError(f"kernel must be a Kernel member, got {self.kernel!r}")
         if self.burn_in is not None and not (0 <= self.burn_in < self.n_steps):
             raise ValueError("burn_in must lie in [0, n_steps)")
 
@@ -109,10 +106,6 @@ class SampleBatch:
     free_samples: np.ndarray
     init: np.ndarray
     clamp_mask: np.ndarray
-    beta: float
-    temperature: float
-    kernel: Kernel
-    seed: int
     theta_hash: str
     ess: np.ndarray
     acceptance_rate: float | None = None
@@ -180,7 +173,7 @@ def run_chains(
     """Sample rho_beta with the configured kernel.
 
     Returns every kept state from every chain plus per-chain effective
-    sample sizes (min over unclamped coordinates) and, for the adjusted
+    sample sizes (min over unclamped coordinates) and, for the Langevin
     kernel, the overall acceptance rate.  Low ESS and out-of-band
     acceptance produce warnings on the batch, never errors.
     """
@@ -190,14 +183,11 @@ def run_chains(
     gens = [make_generator(config.seed, c) for c in range(config.n_chains)]
     rows = _init_rows(model, config, init, gens)
 
-    if model.state_kind is StateKind.BINARY:
-        if config.kernel is not Kernel.GIBBS_SWEEP:
-            raise ValueError(f"{config.kernel.value} requires a continuous state space")
-        kept, acc = _run_gibbs(model, theta, beta, t, config, rows.copy(), gens)  # sweeps in place
-    else:
-        if config.kernel is Kernel.GIBBS_SWEEP:
-            raise ValueError("gibbs_sweep requires a binary state space")
-        kept, acc = _run_langevin(model, theta, beta, t, config, rows, gens)
+    binary = model.state_kind is StateKind.BINARY
+    if binary != (config.kernel is Kernel.GIBBS_SWEEP):
+        raise ValueError(f"{config.kernel.value} cannot sample {model.state_kind.value} states")
+    run = _run_gibbs if binary else _run_langevin
+    kept, acc = run(model, theta, beta, t, config, rows.copy(), gens)  # Gibbs sweeps in place
 
     ess = np.array([column_ess(block).min() if block.size else float(config.n_kept)
                     for block in kept])
@@ -212,10 +202,6 @@ def run_chains(
         free_samples=kept,
         init=rows,
         clamp_mask=model.clamp_mask,
-        beta=beta,
-        temperature=t,
-        kernel=config.kernel,
-        seed=config.seed,
         theta_hash=theta_fingerprint(theta),
         ess=ess,
         acceptance_rate=acc,
@@ -248,7 +234,6 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
 
 
 def _run_langevin(model, theta, beta, t, cfg, rows, gens):
-    adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     z = rows[:, ~model.clamp_mask]
     # langevin consumes each step's draws before asking for the next, so one buffer serves
     noise, uniforms = np.empty(z.shape), np.empty(len(gens))
@@ -256,25 +241,23 @@ def _run_langevin(model, theta, beta, t, cfg, rows, gens):
     def draw(step):
         for c, g in enumerate(gens):
             g.standard_normal(out=noise[c])
-            if adjusted:
-                uniforms[c] = g.random()
-        return noise, uniforms if adjusted else None
+            uniforms[c] = g.random()
+        return noise, uniforms
 
     kept, n_accept = langevin(model.free_kernel(theta, beta, rows), z, draw, cfg, t)
-    return kept, n_accept / (cfg.n_steps * cfg.n_chains) if adjusted else None
+    return kept, n_accept / (cfg.n_steps * cfg.n_chains)
 
 
 def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.ndarray, int]:
-    """Advance the free block z (rows x free coordinates) by cfg.n_steps Langevin steps.
+    """Advance the free block z (rows x free coordinates) by cfg.n_steps MALA steps.
 
     kernel(z) returns F and dF/dz per row; draw(step) returns that step's
     standard-normal noise (rows x free coordinates) and accept uniforms
-    (rows,).  Returns the kept states (rows x n_kept x free coordinates)
-    and the number of accepted proposals: the adjusted kernel applies a
-    Metropolis-Hastings test, the unadjusted one accepts every finite
-    proposal, ignores the uniforms and returns 0.
+    (rows,).  Every proposal passes a Metropolis-Hastings test; one whose
+    F or acceptance ratio is not finite is rejected.  Returns the kept
+    states (rows x n_kept x free coordinates) and the number of accepted
+    proposals.
     """
-    adjusted = cfg.kernel is Kernel.LANGEVIN_ADJUSTED
     eta = cfg.step_size
     eta_t = eta / temperature
     scale = np.sqrt(2.0 * eta)
@@ -286,41 +269,23 @@ def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.
         noise, uniforms = draw(step)
         with np.errstate(invalid="ignore", over="ignore"):
             proposal = z - eta_t * grad + scale * noise
-            if not adjusted:
-                if not np.all(np.isfinite(proposal)):
-                    raise DivergenceError(
-                        f"state became non-finite at step {step}; reduce step_size={eta}"
-                    )
-                z = proposal
-                _, grad = kernel(z)
-            else:
-                f_prop, grad_prop = kernel(proposal)
-                f_prop = np.where(np.isfinite(f_prop), f_prop, np.inf)
-                fwd = proposal - z + eta_t * grad
-                rev = z - proposal + eta_t * grad_prop
-                log_q_fwd = -np.einsum("ij,ij->i", fwd, fwd) / (4.0 * eta)
-                log_q_rev = -np.einsum("ij,ij->i", rev, rev) / (4.0 * eta)
-                log_alpha = -(f_prop - f_cur) / temperature + log_q_rev - log_q_fwd
-                log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
-                accept = np.log(uniforms) < log_alpha
-                n_accept += int(accept.sum())
-                z[accept] = proposal[accept]
-                f_cur = np.where(accept, f_prop, f_cur)
-                grad[accept] = grad_prop[accept]
+            f_prop, grad_prop = kernel(proposal)
+            f_prop = np.where(np.isfinite(f_prop), f_prop, np.inf)
+            fwd = proposal - z + eta_t * grad
+            rev = z - proposal + eta_t * grad_prop
+            log_q_fwd = -np.einsum("ij,ij->i", fwd, fwd) / (4.0 * eta)
+            log_q_rev = -np.einsum("ij,ij->i", rev, rev) / (4.0 * eta)
+            log_alpha = -(f_prop - f_cur) / temperature + log_q_rev - log_q_fwd
+            log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
+            accept = np.log(uniforms) < log_alpha
+            n_accept += int(accept.sum())
+            z[accept] = proposal[accept]
+            f_cur = np.where(accept, f_prop, f_cur)
+            grad[accept] = grad_prop[accept]
         slot = slots.get(step)
         if slot is not None:
             kept[:, slot] = z
     return kept, n_accept
-
-
-@dataclass
-class RelaxResult:
-    """End point of a deterministic relaxation: one state, or one row per example."""
-
-    state: np.ndarray
-    converged: bool
-    iterations: int
-    grad_inf_norm: float
 
 
 def effective_sample_size(series) -> float:

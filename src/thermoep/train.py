@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .core import DivergenceError
 from .data import Dataset, one_hot
 from .estimators import QuadratureSpec
 from .models import (
@@ -60,7 +61,7 @@ from .rng import (
     derive_seed,
     make_generator,
 )
-from .sampler import ChainConfig, DivergenceError, Kernel, langevin
+from .sampler import ChainConfig, Kernel, langevin
 
 METHODS = ("ep", "path_integral", "backprop")
 

@@ -3,8 +3,8 @@ LayeredTanhEnergyNet.relax_free_batch is checked against."""
 
 import numpy as np
 
-from thermoep.core import StateKind, _kernel_grad_rows, as_nudge
-from thermoep.sampler import DivergenceError, RelaxResult
+from thermoep.core import DivergenceError, StateKind, _kernel_grad_rows, as_nudge
+from thermoep.models import RelaxResult
 
 
 def relax_deterministic(model, theta, beta, init, step_size=0.1, max_iters=1000, tol=1e-8):

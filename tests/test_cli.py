@@ -8,7 +8,11 @@ from thermoep.cli import (
     parse_config_file,
     resolve_options,
 )
+from thermoep.models import QuadraticEnergyModel
 from thermoep.oracle import CheckResult
+from thermoep.sampler import ChainConfig, run_chains
+
+from ula_reference import run_ula
 
 
 def run(*argv):
@@ -265,6 +269,18 @@ class TestDiagnoseCommand:
         assert code == 1
         report = (tmp_path / "run" / "diagnose_report.txt").read_text()
         assert "FAIL gibbs_tv:" in report
+
+    def test_batch_means_pass_mala_and_flag_unadjusted_langevin(self):
+        # the diagnose defaults at the gate's seed 0, whose chains run at seed 1
+        model, theta = QuadraticEnergyModel(4), [1.0]
+        cfg = ChainConfig(n_steps=4000, n_chains=8, step_size=0.4, seed=1)
+        worst = lambda per: max(z.max() for z in cli._gaussian_moment_z(per))
+        assert worst(run_chains(model, theta, 0.0, 1.0, cfg).per_chain()) <= 3.0
+        assert worst(run_ula(model, theta, 0.0, 1.0, cfg)) > 3.0
+
+    def test_batch_means_need_a_row_per_batch(self):
+        with pytest.raises(ValueError, match="kept steps per chain"):
+            cli._gaussian_moment_z(np.zeros((8, cli.MALA_BATCHES - 1, 3)))
 
 
 class TestParser:

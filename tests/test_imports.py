@@ -1,4 +1,4 @@
-"""Every import in the package source is used.
+"""Every import in the package source is used, and the base modules stay layered.
 
 No linter ships with the project, so this parses each module with ast and
 flags imported names that are never referenced.  A name listed in a
@@ -40,3 +40,20 @@ def test_checker_flags_unused_and_honours_all():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """The thermoep modules a source file imports (relative imports only)."""
+    tree = ast.parse(path.read_text())
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("core", set()),
+    ("models", {"core"}),
+    ("sampler", {"core", "rng"}),
+])
+def test_base_modules_import_only_lower_layers(module, allowed):
+    path = SOURCES[0].parent / f"{module}.py"
+    assert package_imports(path) <= allowed

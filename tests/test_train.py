@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from thermoep.core import DivergenceError
 from thermoep.data import one_hot, train_test_blobs
 from thermoep.models import LayeredTanhEnergyNet, feature_grad, init_layer_params
 from thermoep.rng import INIT_STREAM, derive_seed, make_generator
-from thermoep.sampler import DivergenceError, langevin
+from thermoep.sampler import langevin
 from thermoep.train import (
     Checkpoint,
     TrainConfig,
