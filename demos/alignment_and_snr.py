@@ -9,7 +9,7 @@ enumerable.  Two effects show up together:
   * signal-to-noise: the nudge-induced state shift stands far above the
     sampling noise at beta = 1 and drowns in it at beta = 0.01.
 
-Run: python3 demos/alignment_and_snr.py  (about a minute on one core)
+Run: python3 demos/alignment_and_snr.py  (about 30 s on one core)
 """
 
 import numpy as np

@@ -61,6 +61,7 @@ from .sampler import (
     SampleBatch,
     effective_sample_size,
     run_chains,
+    run_phases,
 )
 from .train import Checkpoint, TrainConfig, TrainResult, load_checkpoint, save_checkpoint, train
 
@@ -118,6 +119,7 @@ __all__ = [
     "one_hot",
     "random_spin_glass",
     "run_chains",
+    "run_phases",
     "run_consistency_suite",
     "save_checkpoint",
     "save_idx",

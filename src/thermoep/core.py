@@ -214,13 +214,14 @@ class EnergyModel(ABC):
         f_lo = kernel_batch(self, theta, beta, flipped)
         return f_hi - f_lo
 
-    def free_kernel(self, theta: np.ndarray, beta: float, rows: np.ndarray):
+    def free_kernel(self, theta: np.ndarray, beta, rows: np.ndarray):
         """The nudged kernel over the free block, as a sampler.langevin kernel.
 
-        rows (n, state_dim) supply the clamped coordinates.  kernel(z)
-        returns F and dF/dz per row for the free block z (n, n_free).
-        This generic version writes z into a copy of rows and evaluates
-        the full-state methods; models with clamped blocks override it.
+        rows (n, state_dim) supply the clamped coordinates; beta is one
+        nudge for every row or one per row.  kernel(z) returns F and dF/dz
+        per row for the free block z (n, n_free).  This generic version
+        writes z into a copy of rows and evaluates the full-state methods;
+        models with clamped blocks override it.
         """
         free = ~self.clamp_mask
         states = np.array(rows, copy=True)
@@ -313,17 +314,18 @@ def chain_rows(init_row: np.ndarray, free: np.ndarray, clamp_mask: np.ndarray) -
 
 
 # Unchecked, unlike kernel_batch: a MALA proposal with a non-finite F is a rejection.
-def _kernel_rows(model: EnergyModel, theta, beta: float, states: np.ndarray) -> np.ndarray:
+# beta is one nudge or one per row; the loss is read only when some row is nudged.
+def _kernel_rows(model: EnergyModel, theta, beta, states: np.ndarray) -> np.ndarray:
     f = model.energy_batch(theta, states)
-    if beta != 0.0:
+    if np.any(beta):
         f = f + beta * model.loss_batch(states)
     return f
 
 
-def _kernel_grad_rows(model: EnergyModel, theta, beta: float, states: np.ndarray) -> np.ndarray:
+def _kernel_grad_rows(model: EnergyModel, theta, beta, states: np.ndarray) -> np.ndarray:
     g = model.grad_state_energy_batch(theta, states)
-    if beta != 0.0:
-        g = g + beta * model.grad_state_loss_batch(states)
+    if np.any(beta):
+        g = g + np.reshape(beta, (-1, 1)) * model.grad_state_loss_batch(states)
     return g
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .core import EnergyModel, StateKind, as_nudge, as_temperature
-from .estimators import GradEstimate, grad_classical_ep, grad_contrast_mc, grad_supervised_mc
+from .estimators import GradEstimate, grad_contrast_draws, grad_contrast_mc, grad_supervised_mc
 from .oracle import DEFAULT_N_MAX, exact_grad_J_contrast
 from .rng import (
     FREE_PHASE,
@@ -26,7 +26,7 @@ from .rng import (
     SWEEP_UPDATE_BASE,
     derive_seed,
 )
-from .sampler import ChainConfig, SampleBatch, run_chains
+from .sampler import ChainConfig, SampleBatch, run_phases
 
 DEGENERATE_NORM = 1e-12
 
@@ -61,26 +61,21 @@ def snr_of_perturbation(
 ) -> float:
     """Signal-to-noise ratio of the nudge-induced state perturbation.
 
-    Each repeat r draws an independent free batch and nudged batch from a
-    common init and records delta_r = mean nudged state - mean free state
-    over the unclamped coordinates.  The ratio is |mean_r delta| over the
-    mean distance of delta_r from that mean (the scatter across runs).
-    Returns inf when the scatter vanishes.
+    Each repeat r draws an independent nudged and free batch, one
+    run_phases block, from a common init and records delta_r = mean
+    nudged state - mean free state over the unclamped coordinates.  The
+    ratio is |mean_r delta| over the mean distance of delta_r from that
+    mean (the scatter across runs).  Returns inf when the scatter vanishes.
     """
     if n_repeats < 2:
         raise ValueError("n_repeats must be >= 2")
     beta = as_nudge(beta)
-    t = as_temperature(temperature)
     deltas = []
     for r in range(n_repeats):
-        nudged = run_chains(
-            model, theta, beta, t,
-            config.with_seed(derive_seed(config.seed, r, NUDGED_PHASE)), init,
-        )
-        free = run_chains(
-            model, theta, 0.0, t,
-            config.with_seed(derive_seed(config.seed, r, FREE_PHASE)), init,
-        )
+        nudged, free = run_phases(model, theta, temperature, config, [
+            (beta, derive_seed(config.seed, r, NUDGED_PHASE)),
+            (0.0, derive_seed(config.seed, r, FREE_PHASE)),
+        ], init)
         deltas.append(_free_mean(nudged) - _free_mean(free))
     deltas = np.stack(deltas)
     mean = deltas.mean(axis=0)
@@ -151,13 +146,15 @@ def alignment_sweep(
     and report cosine 0.
 
     With n_repeats > 1 each recorded cosine is the mean over that many
-    independent g_hat(beta) draws at the same budget.  The mean cosine is
-    the stable object here: a single draw scatters around it with a sign
-    set by sampling noise wherever the update is noise-dominated.
+    independent g_hat(beta) draws at the same budget, sampled per probe
+    as one phase block.  The mean cosine is the stable object here: a
+    single draw scatters around it with a sign set by sampling noise
+    wherever the update is noise-dominated.
 
     snr_probes=0 skips the SNR column and include_contrast=False skips
     the contrast reference (both reported as nan); for non-enumerable
-    probes these are the two expensive columns.
+    probes these are the two expensive columns.  Bad arguments raise
+    ValueError before anything is sampled.
     """
     t = as_temperature(temperature)
     models, inits = _as_probe_list(models, inits)
@@ -166,6 +163,10 @@ def alignment_sweep(
         raise ValueError("betas must be strictly increasing and positive")
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
+    if snr_probes < 0:
+        raise ValueError("snr_probes must be >= 0")
+    if snr_probes > 0 and snr_repeats < 2:
+        raise ValueError("snr_repeats must be >= 2")
     ref_cfg = reference_config if reference_config is not None else replace(
         config, n_steps=4 * config.n_steps
     )
@@ -182,16 +183,18 @@ def alignment_sweep(
 
     cos_sup, cos_con, snrs, degenerate = [], [], [], []
     for k, beta in enumerate(betas):
-        g_hats = [
-            _mean_grad([
-                grad_classical_ep(
-                    m, theta, t, beta,
-                    config.with_seed(derive_seed(config.seed, SWEEP_UPDATE_BASE + k, i, r)), init,
-                )
-                for i, (m, init) in enumerate(zip(models, inits))
-            ])
-            for r in range(n_repeats)
+        # each probe's n_repeats classical-EP draws as one block: (contrast at beta) / beta
+        draws = [
+            grad_contrast_draws(
+                m, theta, t, config,
+                [derive_seed(config.seed, SWEEP_UPDATE_BASE + k, i, r) for r in range(n_repeats)],
+                init, beta=beta,
+            )
+            for i, (m, init) in enumerate(zip(models, inits))
         ]
+        scale = 1.0 / beta
+        g_hats = [np.mean([scale * d[r].grad.values for d in draws], axis=0)
+                  for r in range(n_repeats)]
         if not include_contrast:
             contrast = None
         elif enumerable:

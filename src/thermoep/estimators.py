@@ -13,10 +13,12 @@ Four views of the same target:
 
 Each estimate carries a per-coordinate standard error computed from the
 scatter of independent chain means (n-1 normalisation), so "within k
-standard errors of the oracle" is a well-posed acceptance check.  The
-per-chain sums of dE/dtheta (and l * dE/dtheta) come from one
-EnergyModel.chain_sums call per batch, over the stored free block; the
-layered net computes them in feature space (models.py, feature_sums).
+standard errors of the oracle" is a well-posed acceptance check.  An
+estimate samples all its phases (nudged and free, or every node) in one
+sampler.run_phases call.  The per-chain sums of dE/dtheta (and
+l * dE/dtheta) come from one EnergyModel.chain_sums call per batch, over
+the stored free block; the layered net computes them in feature space
+(models.py, feature_sums).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import EnergyModel, ParamVector, as_nudge, as_temperature
 from .rng import FREE_PHASE, NODE_BASE, NUDGED_PHASE, SUPERVISED_PHASE, derive_seed
-from .sampler import ChainConfig, SampleBatch, run_chains
+from .sampler import ChainConfig, SampleBatch, run_chains, run_phases
 
 
 class EstimationError(ValueError):
@@ -156,29 +158,30 @@ def grad_contrast_mc(
     """Two-phase contrast at nudge beta: mean dE under rho_beta minus under rho_0.
 
     Estimates grad[A(theta, beta) - A(theta, 0)], which at the default
-    beta = 1 is grad J.
+    beta = 1 is grad J.  The one-draw view of grad_contrast_draws.
     """
+    return grad_contrast_draws(model, theta, temperature, config, [config.seed], init, beta)[0]
+
+
+def grad_contrast_draws(
+    model: EnergyModel, theta, temperature, config: ChainConfig, seeds, init=None, beta=1.0
+) -> list[GradEstimate]:
+    """grad_contrast_mc under config.with_seed(s) for each s in seeds, as one phase block."""
     b = as_nudge(beta)
     theta = model.validate_theta(theta)
-    nudged = run_chains(
-        model, theta, b, temperature,
-        config.with_seed(derive_seed(config.seed, NUDGED_PHASE)), init,
-    )
-    free = run_chains(
-        model, theta, 0.0, temperature,
-        config.with_seed(derive_seed(config.seed, FREE_PHASE)), init,
-    )
-    diffs = _chain_mean_grads(model, theta, nudged) - _chain_mean_grads(model, theta, free)
-    mean, stderr = _mean_and_stderr(diffs)
-    meta = {
-        "beta": b,
-        "temperature": as_temperature(temperature),
-        "nudged": _batch_meta(nudged),
-        "free": _batch_meta(free),
-    }
-    return GradEstimate(
-        model.param_vector(mean), stderr, EstimatorMethod.EXPECTATION_CONTRAST, meta
-    )
+    phases = [(phase_beta, derive_seed(seed, tag)) for seed in seeds
+              for phase_beta, tag in ((b, NUDGED_PHASE), (0.0, FREE_PHASE))]
+    batches = run_phases(model, theta, temperature, config, phases, init)
+    estimates = []
+    for nudged, free in zip(batches[::2], batches[1::2]):
+        diffs = _chain_mean_grads(model, theta, nudged) - _chain_mean_grads(model, theta, free)
+        mean, stderr = _mean_and_stderr(diffs)
+        meta = {"beta": b, "temperature": as_temperature(temperature),
+                "nudged": _batch_meta(nudged), "free": _batch_meta(free)}
+        estimates.append(GradEstimate(
+            model.param_vector(mean), stderr, EstimatorMethod.EXPECTATION_CONTRAST, meta
+        ))
+    return estimates
 
 
 def grad_classical_ep(
@@ -217,11 +220,10 @@ def grad_covariance_mc(
     total = np.zeros(model.param_dim)
     total_var = np.zeros(model.param_dim)
     node_meta = []
-    for k, (node, weight) in enumerate(zip(quadrature.nodes, quadrature.weights)):
-        batch = run_chains(
-            model, theta, node, t,
-            config.with_seed(derive_seed(config.seed, NODE_BASE + k)), init,
-        )
+    phases = [(node, derive_seed(config.seed, NODE_BASE + k))
+              for k, node in enumerate(quadrature.nodes)]
+    batches = run_phases(model, theta, t, config, phases, init)
+    for node, weight, batch in zip(quadrature.nodes, quadrature.weights, batches):
         covs, mean_losses = _chain_covariances(model, theta, batch)
         mean, stderr = _mean_and_stderr(covs)
         total += weight * mean

@@ -391,7 +391,7 @@ class LayeredTanhEnergyNet(EnergyModel):
         """E per row and (dE/dh, dE/do) given the rows' _operands.
 
         The one copy of the energy formula; energy_batch,
-        grad_state_energy_batch, free_kernel (run_chains and the trainer)
+        grad_state_energy_batch, free_kernel (run_phases and the trainer)
         and relax_free_batch read it.  Either result is None when not
         asked for.
         """
@@ -429,24 +429,27 @@ class LayeredTanhEnergyNet(EnergyModel):
     def free_kernel(self, theta, beta, rows, targets=None):
         """F and dF/d(h, o) over the free block, with x @ W1 computed once.
 
-        targets (rows, n_out) gives each row its own target; by default
-        every row uses the bound one.  Bit-equal to the generic kernel:
-        the same formula on the same operands, without the clamped-input
-        gradient it discards.
+        beta is one nudge for every row or one per row, and targets
+        (rows, n_out) gives each row its own target; by default every row
+        uses the bound one, read only when some row is nudged.  Bit-equal
+        to the generic kernel: the same formula on the same operands,
+        without the clamped-input gradient it discards.
         """
         ops = self._operands(theta, self.split_state(rows)[0], tile=True)
         nh = self.n_hidden
-        if beta != 0.0 and targets is None:
+        nudged = np.any(beta)
+        if nudged and targets is None:
             targets = self._require_target()
+        beta_col = np.reshape(beta, (-1, 1))
 
         def kernel(z):
             h, o = z[:, :nh].copy(), z[:, nh:].copy()  # contiguous blocks: faster ufuncs
             f, (g_h, g_o) = self._free_rows(ops, h, o)
-            if beta != 0.0:
+            if nudged:
                 d = o - targets
                 f += beta * (0.5 * np.einsum("ij,ij->i", d, d))
-                g_h += beta * 0.0  # as the generic beta * dl/dh: -0.0 becomes +0.0
-                d *= beta
+                g_h += beta_col * 0.0  # as the generic beta * dl/dh: -0.0 becomes +0.0
+                d *= beta_col
                 g_o += d
             return f, np.concatenate([g_h, g_o], axis=1)
 

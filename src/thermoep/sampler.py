@@ -3,18 +3,24 @@
 All kernels target rho_beta(s) proportional to exp(-F(theta, beta, s)/T)
 and respect the model's clamp mask: clamped coordinates keep their
 initial values for the whole run.  Chains are advanced in lockstep as
-rows of a (n_chains, state_dim) array, each chain consuming its own RNG
-stream derived from (seed, chain_index), so every chain draws the same
-numbers however many chains run.  For the bundled quadratic and
-spin-glass models the first k chains of a run are bit-identical to a
-k-chain run; for the layered net they agree only to rounding, because a
+rows of a (n_chains, state_dim) array.  There are two kernels: Gibbs
+sweeps for binary states and Metropolis-adjusted Langevin (MALA) for
+continuous ones.  MALA is one loop, langevin(), whose caller supplies
+the kernel over the free block and the random numbers; the trainer
+drives it too.
+
+run_phases samples several phases of one model, each a (beta, seed)
+pair, and run_chains is its one-phase view.  The MALA phases form one
+block of rows advanced by a single langevin call, with one beta per row
+(EnergyModel.free_kernel takes beta per row; a beta = 0 row adds only
++-0.0); the Gibbs phases run one after another.  Either way chain c of a
+phase draws from stream (seed, c): its init row, then per step its noise
+and its accept uniform (MALA) or its site uniforms (Gibbs), the same
+numbers however many chains or phases run.  For the bundled quadratic
+and spin-glass models a phase is therefore bit-identical whatever runs
+beside it, and the first k chains of a run are bit-identical to a
+k-chain run; for the layered net both agree only to rounding, because a
 BLAS matrix product over the rows rounds differently with the row count.
-There are two kernels: Gibbs sweeps for binary states and
-Metropolis-adjusted Langevin (MALA) for continuous ones.  MALA is one
-loop, langevin(), whose caller supplies the kernel over the free block
-and the random numbers; the trainer drives it too.  run_chains takes the
-kernel from the model (EnergyModel.free_kernel) and draws per step chain
-c's noise, then its accept uniform, from stream (seed, c).
 
 A run stores only what moves: the kept free coordinates of every chain
 and the init rows, which hold the clamped ones.  Full states, as
@@ -170,43 +176,56 @@ def _init_rows(model: EnergyModel, cfg: ChainConfig, init, gens) -> np.ndarray:
 def run_chains(
     model: EnergyModel, theta, beta, temperature, config: ChainConfig, init=None
 ) -> SampleBatch:
-    """Sample rho_beta with the configured kernel.
+    """Sample rho_beta with the configured kernel: the one-phase view of run_phases.
 
     Returns every kept state from every chain plus per-chain effective
     sample sizes (min over unclamped coordinates) and, for the Langevin
     kernel, the overall acceptance rate.  Low ESS and out-of-band
     acceptance produce warnings on the batch, never errors.
     """
-    beta = as_nudge(beta)
+    return run_phases(model, theta, temperature, config, [(beta, config.seed)], init)[0]
+
+
+def run_phases(
+    model: EnergyModel, theta, temperature, config: ChainConfig, phases, init=None
+) -> list[SampleBatch]:
+    """Sample several phases of one model, each a (beta, seed) pair.
+
+    Phase p returns exactly what run_chains(model, theta, beta_p,
+    temperature, config.with_seed(seed_p), init) does.  MALA phases share
+    one langevin call over all their rows, each row with its phase's beta;
+    Gibbs phases run one after another.
+    """
     t = as_temperature(temperature)
     theta = model.validate_theta(theta)
-    gens = [make_generator(config.seed, c) for c in range(config.n_chains)]
-    rows = _init_rows(model, config, init, gens)
+    betas = [as_nudge(beta) for beta, _ in phases]
+    gens = [[make_generator(seed, c) for c in range(config.n_chains)] for _, seed in phases]
+    inits = [_init_rows(model, config, init, g) for g in gens]
 
     binary = model.state_kind is StateKind.BINARY
     if binary != (config.kernel is Kernel.GIBBS_SWEEP):
         raise ValueError(f"{config.kernel.value} cannot sample {model.state_kind.value} states")
-    run = _run_gibbs if binary else _run_langevin
-    kept, acc = run(model, theta, beta, t, config, rows.copy(), gens)  # Gibbs sweeps in place
-
-    ess = np.array([column_ess(block).min() if block.size else float(config.n_kept)
-                    for block in kept])
-    warnings = []
-    if float(ess.min()) < 10.0:
-        warnings.append(
-            f"min per-chain ESS is {ess.min():.1f}; estimates may be dominated by autocorrelation"
-        )
-    if acc is not None and not (0.4 < acc < 0.9):
-        warnings.append(f"acceptance rate {acc:.2f} outside (0.4, 0.9); retune step_size")
-    return SampleBatch(
-        free_samples=kept,
-        init=rows,
-        clamp_mask=model.clamp_mask,
-        theta_hash=theta_fingerprint(theta),
-        ess=ess,
-        acceptance_rate=acc,
-        warnings=tuple(warnings),
-    )
+    if binary:  # Gibbs sweeps in place
+        runs = [_run_gibbs(model, theta, beta, t, config, rows.copy(), g)
+                for beta, rows, g in zip(betas, inits, gens)]
+    else:
+        runs = _run_langevin(model, theta, betas, t, config, inits, gens)
+    fingerprint = theta_fingerprint(theta)
+    batches = []
+    for rows, (kept, acc) in zip(inits, runs):
+        ess = np.array([column_ess(block).min() if block.size else float(config.n_kept)
+                        for block in kept])
+        warnings = []
+        if float(ess.min()) < 10.0:
+            warnings.append(f"min per-chain ESS is {ess.min():.1f}; "
+                            "estimates may be dominated by autocorrelation")
+        if acc is not None and not (0.4 < acc < 0.9):
+            warnings.append(f"acceptance rate {acc:.2f} outside (0.4, 0.9); retune step_size")
+        batches.append(SampleBatch(
+            free_samples=kept, init=rows, clamp_mask=model.clamp_mask, theta_hash=fingerprint,
+            ess=ess, acceptance_rate=acc, warnings=tuple(warnings),
+        ))
+    return batches
 
 
 def _keep_slots(cfg: ChainConfig):
@@ -233,7 +252,10 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
     return kept, None
 
 
-def _run_langevin(model, theta, beta, t, cfg, rows, gens):
+def _run_langevin(model, theta, betas, t, cfg, inits, gens):
+    """Every phase's rows as one langevin block; (kept, acceptance rate) per phase."""
+    rows = np.concatenate(inits)
+    gens = [g for phase in gens for g in phase]
     z = rows[:, ~model.clamp_mask]
     # langevin consumes each step's draws before asking for the next, so one buffer serves
     noise, uniforms = np.empty(z.shape), np.empty(len(gens))
@@ -244,19 +266,24 @@ def _run_langevin(model, theta, beta, t, cfg, rows, gens):
             uniforms[c] = g.random()
         return noise, uniforms
 
-    kept, n_accept = langevin(model.free_kernel(theta, beta, rows), z, draw, cfg, t)
-    return kept, n_accept / (cfg.n_steps * cfg.n_chains)
+    kernel = model.free_kernel(theta, np.repeat(betas, cfg.n_chains), rows)
+    kept, accepted = langevin(kernel, z, draw, cfg, t)
+    n = cfg.n_chains
+    return [(kept[p * n:(p + 1) * n], int(accepted[p * n:(p + 1) * n].sum()) / (cfg.n_steps * n))
+            for p in range(len(betas))]
 
 
-def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.ndarray, int]:
+def langevin(
+    kernel, z, draw, cfg: ChainConfig, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance the free block z (rows x free coordinates) by cfg.n_steps MALA steps.
 
     kernel(z) returns F and dF/dz per row; draw(step) returns that step's
     standard-normal noise (rows x free coordinates) and accept uniforms
     (rows,).  Every proposal passes a Metropolis-Hastings test; one whose
     F or acceptance ratio is not finite is rejected.  Returns the kept
-    states (rows x n_kept x free coordinates) and the number of accepted
-    proposals.
+    states (rows x n_kept x free coordinates) and each row's number of
+    accepted proposals.
     """
     eta = cfg.step_size
     eta_t = eta / temperature
@@ -264,7 +291,7 @@ def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.
     kept = np.empty((z.shape[0], cfg.n_kept, z.shape[1]))
     slots = _keep_slots(cfg)
     f_cur, grad = kernel(z)
-    n_accept = 0
+    n_accept = np.zeros(len(z), dtype=np.int64)
     for step in range(cfg.n_steps):
         noise, uniforms = draw(step)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -278,7 +305,7 @@ def langevin(kernel, z, draw, cfg: ChainConfig, temperature: float) -> tuple[np.
             log_alpha = -(f_prop - f_cur) / temperature + log_q_rev - log_q_fwd
             log_alpha = np.where(np.isfinite(log_alpha), log_alpha, -np.inf)
             accept = np.log(uniforms) < log_alpha
-            n_accept += int(accept.sum())
+            n_accept += accept
             z[accept] = proposal[accept]
             f_cur = np.where(accept, f_prop, f_cur)
             grad[accept] = grad_prop[accept]

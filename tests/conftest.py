@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermoep import sampler
 from thermoep.models import random_spin_glass
 from thermoep.sampler import ChainConfig, Kernel
 
@@ -23,3 +24,17 @@ def gibbs_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def langevin_calls(monkeypatch):
+    """Row counts of every sampler.langevin call made while the test runs."""
+    calls = []
+    real = sampler.langevin
+
+    def spy(kernel, z, *args):
+        calls.append(len(z))
+        return real(kernel, z, *args)
+
+    monkeypatch.setattr(sampler, "langevin", spy)
+    return calls

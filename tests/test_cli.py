@@ -236,6 +236,15 @@ class TestSweepCommand:
                    "--checkpoint", tmp_path / "t" / "checkpoint.json")
         assert code == 0
 
+    def test_bad_snr_repeats_exit_before_sampling(self, tiny_cfg, tmp_path, capsys,
+                                                  langevin_calls):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(BLOBS_TINY + "betas = 1.0\nprobe = 1\nsnr_repeats = 1\n")
+        code = run("sweep", "--config", cfg, "--out", tmp_path / "run")
+        assert code == 2
+        assert "snr_repeats" in capsys.readouterr().err
+        assert langevin_calls == []
+
     def test_probe_bound(self, tiny_cfg, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(BLOBS_TINY + "probe = 9999\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,9 @@ from thermoep.diagnostics import (
     snr_of_perturbation,
     spearman_rho,
 )
+from thermoep.estimators import grad_supervised_mc
 from thermoep.models import LayeredTanhEnergyNet, init_layer_params, random_spin_glass
+from thermoep.rng import FREE_PHASE, NUDGED_PHASE, SWEEP_REFERENCE, SWEEP_UPDATE_BASE, derive_seed
 from thermoep.sampler import ChainConfig, Kernel, run_chains
 
 
@@ -167,6 +171,72 @@ class TestAlignmentSweep:
                             snr_probes=0, n_repeats=2)
         np.testing.assert_array_equal(a.cosine_vs_supervised, b.cosine_vs_supervised)
         np.testing.assert_array_equal(a.cosine_vs_contrast, b.cosine_vs_contrast)
+
+
+def _net_probes(n_probes):
+    net = LayeredTanhEnergyNet(20, 6, 3)
+    theta = init_layer_params(20, 6, 3, seed=0).values
+    rng = np.random.default_rng(4)
+    models = [net.with_target(np.eye(3)[i % 3]) for i in range(n_probes)]
+    inits = [net.init_state(rng.uniform(0.0, 1.0, 20)) for _ in range(n_probes)]
+    cfg = ChainConfig(n_steps=60, n_chains=4, burn_in=20, step_size=0.02, seed=3)
+    return models, theta, inits, cfg, replace(cfg, n_steps=120, n_chains=8)
+
+
+def per_phase_cosines(models, theta, t, betas, cfg, inits, ref_cfg, n_repeats):
+    """alignment_sweep's supervised cosines with one run_chains call per phase."""
+    supervised = np.mean([
+        grad_supervised_mc(
+            m, theta, t, ref_cfg.with_seed(derive_seed(cfg.seed, SWEEP_REFERENCE, i)), init
+        ).grad.values
+        for i, (m, init) in enumerate(zip(models, inits))
+    ], axis=0)
+    cosines = []
+    for k, beta in enumerate(betas):
+        g_hats = []
+        for r in range(n_repeats):
+            per_probe = []
+            for i, (m, init) in enumerate(zip(models, inits)):
+                seed = derive_seed(cfg.seed, SWEEP_UPDATE_BASE + k, i, r)
+                mean_grads = []
+                for phase_beta, tag in ((beta, NUDGED_PHASE), (0.0, FREE_PHASE)):
+                    phase_cfg = cfg.with_seed(derive_seed(seed, tag))
+                    b = run_chains(m, theta, phase_beta, t, phase_cfg, init)
+                    sums = m.chain_sums(theta, b.init, b.free_samples)
+                    mean_grads.append(sums.mean(axis=0) / b.n_kept)
+                per_probe.append((mean_grads[0] - mean_grads[1]) / beta)
+            g_hats.append(np.mean(per_probe, axis=0))
+        cosines.append(np.mean([cosine(g, supervised) for g in g_hats]))
+    return np.array(cosines)
+
+
+class TestSweepPhaseBlocks:
+    def test_one_langevin_call_per_probe_reference_and_beta(self, langevin_calls):
+        models, theta, inits, cfg, ref_cfg = _net_probes(2)
+        betas = [0.1, 0.5, 1.0]
+        alignment_sweep(models, theta, 0.1, betas, cfg, inits=inits, reference_config=ref_cfg,
+                        snr_probes=0, include_contrast=False, n_repeats=2)
+        assert len(langevin_calls) == len(models) * (1 + len(betas))
+        block = 2 * 2 * cfg.n_chains  # two phases of two repeats
+        assert langevin_calls == [ref_cfg.n_chains] * 2 + [block] * (2 * len(betas))
+
+    def test_cosines_match_the_per_phase_loop(self):
+        models, theta, inits, cfg, ref_cfg = _net_probes(2)
+        betas = [0.1, 0.5, 1.0]
+        result = alignment_sweep(models, theta, 0.1, betas, cfg, inits=inits,
+                                 reference_config=ref_cfg, snr_probes=0,
+                                 include_contrast=False, n_repeats=2)
+        expected = per_phase_cosines(models, theta, 0.1, betas, cfg, inits, ref_cfg, 2)
+        np.testing.assert_allclose(result.cosine_vs_supervised, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("snr", [dict(snr_repeats=1), dict(snr_probes=-1)],
+                             ids=["one_repeat", "negative_probes"])
+    def test_bad_snr_arguments_raise_before_sampling(self, langevin_calls, snr):
+        models, theta, inits, cfg, ref_cfg = _net_probes(1)
+        with pytest.raises(ValueError, match="snr_"):
+            alignment_sweep(models, theta, 0.1, [0.5, 1.0], cfg, inits=inits,
+                            reference_config=ref_cfg, include_contrast=False, **snr)
+        assert langevin_calls == []
 
 
 class TestSweepResultDegenerate:

@@ -9,6 +9,7 @@ from thermoep.estimators import (
     EstimatorMethod,
     QuadratureSpec,
     grad_classical_ep,
+    grad_contrast_draws,
     grad_contrast_mc,
     grad_covariance_mc,
     grad_supervised_mc,
@@ -100,6 +101,32 @@ class TestContrastEstimator:
         many = grad_contrast_mc(model, theta, 1.0, replace(gibbs_config, n_chains=32))
         ratio = few.std_err.mean() / many.std_err.mean()
         assert 1.3 < ratio < 3.2  # expect ~2 for a 4x chain count
+
+
+class TestPhaseBlocks:
+    """Each estimate samples all its MALA phases with one langevin call."""
+
+    model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 2.0])
+    theta = np.array([1.5])
+    cfg = ChainConfig(n_steps=60, n_chains=4, burn_in=20, step_size=0.3, seed=5)
+
+    def test_contrast_samples_both_phases_in_one_call(self, langevin_calls):
+        grad_contrast_mc(self.model, self.theta, 1.0, self.cfg)
+        assert langevin_calls == [2 * self.cfg.n_chains]
+
+    def test_covariance_samples_every_node_in_one_call(self, langevin_calls):
+        grad_covariance_mc(self.model, self.theta, 1.0, QuadratureSpec.trapezoid(3), self.cfg)
+        assert langevin_calls == [3 * self.cfg.n_chains]
+
+    def test_draws_are_byte_equal_to_one_draw_calls(self, langevin_calls):
+        seeds = [3, 4, 5]
+        draws = grad_contrast_draws(self.model, self.theta, 1.0, self.cfg, seeds, beta=0.4)
+        assert langevin_calls == [2 * len(seeds) * self.cfg.n_chains]
+        for seed, est in zip(seeds, draws):
+            ref = grad_contrast_mc(self.model, self.theta, 1.0, self.cfg.with_seed(seed), beta=0.4)
+            assert est.grad.values.tobytes() == ref.grad.values.tobytes()
+            assert est.std_err.tobytes() == ref.std_err.tobytes()
+            assert est.meta == ref.meta
 
 
 class TestClassicalEP:

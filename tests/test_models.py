@@ -128,6 +128,19 @@ class TestQuadraticModel:
         np.testing.assert_allclose(m.grad_state_loss(s), [0.5, -1.0, 2.0])
 
 
+def test_quadratic_per_row_beta_kernel_equals_scalar_kernel_row_for_row(rng):
+    model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 0.2])
+    theta = np.array([1.3])
+    rows = rng.normal(size=(4, 3))
+    betas = np.array([0.5, 0.0, 0.0, 0.5])
+    f, g = model.free_kernel(theta, betas, rows)(rows.copy())
+    for beta in (0.0, 0.5):
+        f_b, g_b = model.free_kernel(theta, beta, rows)(rows.copy())
+        same = betas == beta
+        assert np.array_equal(f[same], f_b[same])
+        assert np.array_equal(g[same], g_b[same])
+
+
 class TestLayeredNet:
     def make(self, target=True):
         net = LayeredTanhEnergyNet(5, 4, 3)
@@ -220,6 +233,22 @@ class TestLayeredNet:
             f_ref, g_ref = EnergyModel.free_kernel(net, th, beta, rows)(zz.copy())
             assert f.tobytes() == f_ref.tobytes()
             assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "free_kernel", [LayeredTanhEnergyNet.free_kernel, EnergyModel.free_kernel],
+        ids=["layered", "generic"],
+    )
+    def test_per_row_beta_kernel_equals_scalar_kernel_row_for_row(self, rng, free_kernel):
+        net, theta = self.make()
+        rows = self.random_states(net, rng, 6)
+        z = self.random_states(net, rng, 6)[:, 5:]
+        betas = np.array([0.0, 0.3, 1.0, 1.0, 0.0, 0.3])
+        f, g = free_kernel(net, theta, betas, rows)(z.copy())
+        for beta in (0.0, 0.3, 1.0):
+            f_b, g_b = free_kernel(net, theta, beta, rows)(z.copy())
+            same = betas == beta
+            assert np.array_equal(f[same], f_b[same])
+            assert np.array_equal(g[same], g_b[same])
 
     def test_free_kernel_tiled_targets_are_the_bound_target(self, rng):
         net, theta = self.make()

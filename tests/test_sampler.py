@@ -20,6 +20,7 @@ from thermoep.sampler import (
     effective_sample_size,
     langevin,
     run_chains,
+    run_phases,
 )
 
 from relax_reference import relax_deterministic
@@ -292,6 +293,62 @@ class TestRunChainsStreamLayout:
         )
         assert 0 < n_accept < cfg.n_steps
         assert kept[0].tobytes() == batch.free_samples[0].tobytes()
+
+
+class TestRunPhases:
+    """Phase p of a run_phases block is the run_chains call with its (beta, seed)."""
+
+    PHASES = [(0.0, 11), (0.5, 12), (0.5, 13), (0.0, 14)]
+
+    @staticmethod
+    def assert_byte_equal(batch, ref):
+        assert batch.free_samples.tobytes() == ref.free_samples.tobytes()
+        assert batch.init.tobytes() == ref.init.tobytes()
+        assert batch.ess.tobytes() == ref.ess.tobytes()
+        assert batch.acceptance_rate == ref.acceptance_rate
+        assert batch.warnings == ref.warnings
+
+    @pytest.mark.parametrize("step", [0.4, 2.5])
+    @pytest.mark.parametrize("init", [None, [0.3, -0.1, 0.2]])
+    def test_mixed_mala_block_is_byte_equal_to_run_chains(self, init, step):
+        model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 0.2])
+        theta = np.array([1.3])
+        cfg = standard_gaussian_config(n_steps=200, n_chains=4, burn_in=50, step_size=step)
+        batches = run_phases(model, theta, 1.0, cfg, self.PHASES, init)
+        for (beta, seed), batch in zip(self.PHASES, batches):
+            ref = run_chains(model, theta, beta, 1.0, cfg.with_seed(seed), init)
+            self.assert_byte_equal(batch, ref)
+        assert any(b.warnings for b in batches) == (step > 1.0)  # the large step warns
+
+    @pytest.mark.parametrize("init", [None, [1.0, -1.0, 1.0, 1.0, -1.0, -1.0]])
+    def test_gibbs_phases_are_byte_equal_to_run_chains(self, init):
+        model, theta = random_spin_glass(6, seed=1, loss="output_spin")
+        cfg = ChainConfig(n_steps=120, n_chains=5, burn_in=40, kernel=Kernel.GIBBS_SWEEP)
+        batches = run_phases(model, theta.values, 1.0, cfg, self.PHASES, init)
+        for (beta, seed), batch in zip(self.PHASES, batches):
+            ref = run_chains(model, theta.values, beta, 1.0, cfg.with_seed(seed), init)
+            self.assert_byte_equal(batch, ref)
+
+    def test_layered_net_phases_agree_with_run_chains_to_rounding(self):
+        net = LayeredTanhEnergyNet(20, 6, 3, target=np.eye(3)[0])
+        theta = init_layer_params(20, 6, 3, seed=0).values
+        init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 20))
+        cfg = ChainConfig(n_steps=150, n_chains=4, burn_in=50, step_size=0.02)
+        phases = [(0.0, 5), (0.3, 6), (1.0, 7)]
+        for (beta, seed), batch in zip(phases, run_phases(net, theta, 0.1, cfg, phases, init)):
+            ref = run_chains(net, theta, beta, 0.1, cfg.with_seed(seed), init)
+            np.testing.assert_allclose(batch.free_samples, ref.free_samples, rtol=0, atol=1e-12)
+            assert batch.acceptance_rate == ref.acceptance_rate
+
+    def test_unnudged_block_never_reads_a_target(self):
+        net = LayeredTanhEnergyNet(20, 6, 3)  # no target: any nudged row would raise
+        theta = init_layer_params(20, 6, 3, seed=0).values
+        init = net.init_state(np.random.default_rng(4).uniform(0.0, 1.0, 20))
+        cfg = ChainConfig(n_steps=40, n_chains=3, step_size=0.02)
+        batches = run_phases(net, theta, 0.1, cfg, [(0.0, 1), (0.0, 2)], init)
+        assert [b.n_chains for b in batches] == [3, 3]
+        with pytest.raises(ValueError, match="target"):
+            run_phases(net, theta, 0.1, cfg, [(0.0, 1), (0.5, 2)], init)
 
 
 class GenericKernelNet(LayeredTanhEnergyNet):
