@@ -23,6 +23,7 @@ from .rng import (
     SWEEP_CONTRAST_BASE,
     SWEEP_REFERENCE,
     SWEEP_SNR_BASE,
+    SWEEP_STREAM,
     SWEEP_UPDATE_BASE,
     derive_seed,
 )
@@ -174,10 +175,11 @@ def alignment_sweep(
         m.state_kind is StateKind.BINARY and m.state_dim <= DEFAULT_N_MAX for m in models
     )
 
+    def sweep_seed(*path):  # every sweep stream leads with SWEEP_STREAM
+        return derive_seed(config.seed, SWEEP_STREAM, *path)
+
     supervised = _mean_grad([
-        grad_supervised_mc(
-            m, theta, t, ref_cfg.with_seed(derive_seed(config.seed, SWEEP_REFERENCE, i)), init
-        )
+        grad_supervised_mc(m, theta, t, ref_cfg.with_seed(sweep_seed(SWEEP_REFERENCE, i)), init)
         for i, (m, init) in enumerate(zip(models, inits))
     ])
 
@@ -187,7 +189,7 @@ def alignment_sweep(
         draws = [
             grad_contrast_draws(
                 m, theta, t, config,
-                [derive_seed(config.seed, SWEEP_UPDATE_BASE + k, i, r) for r in range(n_repeats)],
+                [sweep_seed(SWEEP_UPDATE_BASE + k, i, r) for r in range(n_repeats)],
                 init, beta=beta,
             )
             for i, (m, init) in enumerate(zip(models, inits))
@@ -205,7 +207,7 @@ def alignment_sweep(
             contrast = _mean_grad([
                 grad_contrast_mc(
                     m, theta, t,
-                    ref_cfg.with_seed(derive_seed(config.seed, SWEEP_CONTRAST_BASE + k, i)), init,
+                    ref_cfg.with_seed(sweep_seed(SWEEP_CONTRAST_BASE + k, i)), init,
                     beta=beta,
                 )
                 for i, (m, init) in enumerate(zip(models, inits))
@@ -225,7 +227,7 @@ def alignment_sweep(
             probe_snrs = [
                 snr_of_perturbation(
                     m, theta, beta, t,
-                    config.with_seed(derive_seed(config.seed, SWEEP_SNR_BASE + k, i)),
+                    config.with_seed(sweep_seed(SWEEP_SNR_BASE + k, i)),
                     init, n_repeats=snr_repeats,
                 )
                 for i, (m, init) in enumerate(zip(models[:snr_probes], inits[:snr_probes]))

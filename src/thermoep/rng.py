@@ -12,7 +12,11 @@ its entropy with zeros, so paths that differ only by trailing zeros
 collide ((7,), (7, 0) and (7, 0, 0) are the same stream).  Callers
 therefore never mix a bare master with tagged paths under that master,
 and two call sites sharing a master always differ in a non-trailing
-entry.  The property is pinned in the test suite.
+entry.  The trainer's paths lead with INIT_STREAM, SHUFFLE_STREAM or
+PHASE_STREAM and every alignment_sweep path leads with SWEEP_STREAM, so
+`thermoep sweep`, which hands one master to both the parameter init and
+the sweep, never draws a sweep chain from the init's stream.  The
+property is pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ SUPERVISED_PHASE = 2
 INIT_STREAM = 11
 SHUFFLE_STREAM = 13
 PHASE_STREAM = 17
-# alignment_sweep streams: the supervised reference, then bases offset by
-# the beta index k for the updates, the MC contrast and the SNR probes.
+# alignment_sweep streams: SWEEP_STREAM leads every path, then the
+# supervised reference, or a base offset by the beta index k for the
+# updates, the MC contrast and the SNR probes.
+SWEEP_STREAM = 19
 SWEEP_REFERENCE = 90
 SWEEP_UPDATE_BASE = 10
 SWEEP_CONTRAST_BASE = 50

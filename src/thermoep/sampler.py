@@ -14,13 +14,17 @@ pair, and run_chains is its one-phase view.  The MALA phases form one
 block of rows advanced by a single langevin call, with one beta per row
 (EnergyModel.free_kernel takes beta per row; a beta = 0 row adds only
 +-0.0); the Gibbs phases run one after another.  Either way chain c of a
-phase draws from stream (seed, c): its init row, then per step its noise
-and its accept uniform (MALA) or its site uniforms (Gibbs), the same
-numbers however many chains or phases run.  For the bundled quadratic
-and spin-glass models a phase is therefore bit-identical whatever runs
-beside it, and the first k chains of a run are bit-identical to a
-k-chain run; for the layered net both agree only to rounding, because a
-BLAS matrix product over the rows rounds differently with the row count.
+phase draws from stream (seed, c), first its init row (only when no init
+is given).  A Gibbs chain then draws its site uniforms per step.  A MALA
+row draws in per-row blocks (block_draws, which the trainer's rows use
+too): its n_steps accept uniforms as one block, then its noise in chunks
+of _NOISE_CHUNK steps, which give the same numbers as one whole-run
+block.  So a chain draws the same numbers however many chains or phases
+run.  For the bundled quadratic and spin-glass models a phase is
+therefore bit-identical whatever runs beside it, and the first k chains
+of a run are bit-identical to a k-chain run; for the layered net both
+agree only to rounding, because a BLAS matrix product over the rows
+rounds differently with the row count.
 
 A run stores only what moves: the kept free coordinates of every chain
 and the init rows, which hold the clamped ones.  Full states, as
@@ -255,22 +259,45 @@ def _run_gibbs(model, theta, beta, t, cfg, states, gens):
 def _run_langevin(model, theta, betas, t, cfg, inits, gens):
     """Every phase's rows as one langevin block; (kept, acceptance rate) per phase."""
     rows = np.concatenate(inits)
-    gens = [g for phase in gens for g in phase]
     z = rows[:, ~model.clamp_mask]
-    # langevin consumes each step's draws before asking for the next, so one buffer serves
-    noise, uniforms = np.empty(z.shape), np.empty(len(gens))
-
-    def draw(step):
-        for c, g in enumerate(gens):
-            g.standard_normal(out=noise[c])
-            uniforms[c] = g.random()
-        return noise, uniforms
-
+    draw = block_draws([g for phase in gens for g in phase], cfg.n_steps, z.shape[1])
     kernel = model.free_kernel(theta, np.repeat(betas, cfg.n_chains), rows)
     kept, accepted = langevin(kernel, z, draw, cfg, t)
     n = cfg.n_chains
     return [(kept[p * n:(p + 1) * n], int(accepted[p * n:(p + 1) * n].sum()) / (cfg.n_steps * n))
             for p in range(len(betas))]
+
+
+# Steps of noise a MALA row draws per generator call.  Consecutive
+# standard_normal chunks give the same numbers as one whole-run block, so
+# the chunk bounds the buffer (a 64-row, 1000-step run would hold 21.5 MB
+# of noise for the layered net's 42 free coordinates), never the stream.
+_NOISE_CHUNK = 64
+
+
+def block_draws(gens, n_steps: int, n_free: int):
+    """langevin's draw(step) for rows that each own a generator.
+
+    Row r's generator gens[r] gives, after whatever was drawn from it
+    before this call, its n_steps accept uniforms as one block, then its
+    (n_steps, n_free) noise in chunks of _NOISE_CHUNK steps, each drawn
+    when langevin reaches it.
+    """
+    chunk = _NOISE_CHUNK
+    uniforms = np.empty((n_steps, len(gens)))
+    for r, g in enumerate(gens):
+        uniforms[:, r] = g.random(n_steps)
+    noise = np.empty((min(chunk, n_steps), len(gens), n_free))
+
+    def draw(step):
+        i = step % chunk
+        if i == 0:
+            m = min(chunk, n_steps - step)
+            for r, g in enumerate(gens):
+                noise[:m, r] = g.standard_normal((m, n_free))
+        return noise[i], uniforms[step]
+
+    return draw
 
 
 def langevin(
@@ -280,10 +307,11 @@ def langevin(
 
     kernel(z) returns F and dF/dz per row; draw(step) returns that step's
     standard-normal noise (rows x free coordinates) and accept uniforms
-    (rows,).  Every proposal passes a Metropolis-Hastings test; one whose
-    F or acceptance ratio is not finite is rejected.  Returns the kept
-    states (rows x n_kept x free coordinates) and each row's number of
-    accepted proposals.
+    (rows,), and is called once per step in step order (block_draws
+    builds it for rows that each own a generator).  Every proposal passes
+    a Metropolis-Hastings test; one whose F or acceptance ratio is not
+    finite is rejected.  Returns the kept states (rows x n_kept x free
+    coordinates) and each row's number of accepted proposals.
     """
     eta = cfg.step_size
     eta_t = eta / temperature
@@ -332,8 +360,8 @@ def column_ess(block) -> np.ndarray:
     """effective_sample_size of every column of a (k, n) block of k draws.
 
     The columns become contiguous rows of one array, so a single
-    rfft/irfft pair yields every autocovariance; only the pair-sum
-    cutoff runs per column.
+    rfft/irfft pair yields every autocovariance, and each column's pair
+    sums up to its cutoff are one masked row sum.
     """
     x = np.ascontiguousarray(np.asarray(block, dtype=np.float64).T)
     n, k = x.shape
@@ -351,8 +379,8 @@ def column_ess(block) -> np.ndarray:
     if k % 2:
         rho = np.concatenate([rho, np.zeros((len(rho), 1))], axis=1)
     pair_sums = rho[:, 0::2] + rho[:, 1::2]
-    nonpositive = pair_sums <= 0.0
-    cutoffs = np.where(nonpositive.any(axis=1), nonpositive.argmax(axis=1), pair_sums.shape[1])
-    taus = [max(-1.0 + 2.0 * float(p[:c].sum()), 1.0 / k) for p, c in zip(pair_sums, cutoffs)]
-    ess[moving] = k / np.array(taus)
+    # the pair sums before each column's first non-positive one
+    head = ~np.logical_or.accumulate(pair_sums <= 0.0, axis=1)
+    taus = np.maximum(-1.0 + 2.0 * np.where(head, pair_sums, 0.0).sum(axis=1), 1.0 / k)
+    ess[moving] = k / taus
     return ess

@@ -15,9 +15,9 @@ Minibatches are sampled as one replica block: every (example, chain)
 pair is a row advancing under MALA in lockstep, with its own RNG stream
 derived from (seed, epoch, batch, phase, row).  The kernel comes from
 the model (LayeredTanhEnergyNet.free_kernel, each row with its example's
-target) and the trainer supplies the random numbers to the sampler's
-Langevin loop: each row draws its n_steps accept uniforms as one block,
-then its (n_steps, n_free) noise as one block.  Because dE/dtheta for
+target) and the random numbers come from the sampler's block_draws, as
+for run_chains: each row draws its n_steps accept uniforms as one block,
+then its (n_steps, n_free) noise in step chunks.  Because dE/dtheta for
 the layered net is linear in the features (x (x) tanh h, tanh h (x)
 tanh o, tanh h, tanh o), per-example phase statistics are summed in
 feature space, once per phase over the kept block, and turned into
@@ -61,7 +61,7 @@ from .rng import (
     derive_seed,
     make_generator,
 )
-from .sampler import ChainConfig, Kernel, langevin
+from .sampler import ChainConfig, Kernel, block_draws, langevin
 
 METHODS = ("ep", "path_integral", "backprop")
 
@@ -237,24 +237,18 @@ def _sample_phase(
     """MALA over the (h, o) blocks of a whole minibatch replica array.
 
     Row r = example_slot * n_chains + chain starts from zero and draws
-    from generator (seed, *path, r): first its n_steps accept uniforms,
-    then its (n_steps, n_free) noise, each as one block.  The kept rows'
-    features are summed per example once, after the run.
+    from generator (seed, *path, r) in block_draws' layout: its n_steps
+    accept uniforms, then its noise.  The kept rows' features are summed
+    per example once, after the run.
     """
     b, c = len(inputs), chain.n_chains
     n_free = net.n_hidden + net.n_out
-    uniforms = np.empty((chain.n_steps, b * c))
-    noise = np.empty((chain.n_steps, b * c, n_free))
-    for r in range(b * c):
-        g = make_generator(seed, *path, r)
-        uniforms[:, r] = g.random(chain.n_steps)
-        noise[:, r] = g.standard_normal((chain.n_steps, n_free))
-
+    gens = [make_generator(seed, *path, r) for r in range(b * c)]
     rows = np.zeros((b, c, net.state_dim))  # the clamped input of row r's example
     rows[:, :, : net.n_in] = inputs[:, None]
     kept, _ = langevin(
         net.free_kernel(theta, beta, rows.reshape(b * c, -1), np.repeat(targets, c, axis=0)),
-        np.zeros((b * c, n_free)), lambda step: (noise[step], uniforms[step]), chain, temperature,
+        np.zeros((b * c, n_free)), block_draws(gens, chain.n_steps, n_free), chain, temperature,
     )
     kept = kept.reshape(b, c * chain.n_kept, n_free)  # every kept row of one example
     return net.feature_sums(kept, targets, need_cov)

@@ -15,7 +15,14 @@ from thermoep.diagnostics import (
 )
 from thermoep.estimators import grad_supervised_mc
 from thermoep.models import LayeredTanhEnergyNet, init_layer_params, random_spin_glass
-from thermoep.rng import FREE_PHASE, NUDGED_PHASE, SWEEP_REFERENCE, SWEEP_UPDATE_BASE, derive_seed
+from thermoep.rng import (
+    FREE_PHASE,
+    NUDGED_PHASE,
+    SWEEP_REFERENCE,
+    SWEEP_STREAM,
+    SWEEP_UPDATE_BASE,
+    derive_seed,
+)
 from thermoep.sampler import ChainConfig, Kernel, run_chains
 
 
@@ -187,7 +194,8 @@ def per_phase_cosines(models, theta, t, betas, cfg, inits, ref_cfg, n_repeats):
     """alignment_sweep's supervised cosines with one run_chains call per phase."""
     supervised = np.mean([
         grad_supervised_mc(
-            m, theta, t, ref_cfg.with_seed(derive_seed(cfg.seed, SWEEP_REFERENCE, i)), init
+            m, theta, t,
+            ref_cfg.with_seed(derive_seed(cfg.seed, SWEEP_STREAM, SWEEP_REFERENCE, i)), init,
         ).grad.values
         for i, (m, init) in enumerate(zip(models, inits))
     ], axis=0)
@@ -197,7 +205,7 @@ def per_phase_cosines(models, theta, t, betas, cfg, inits, ref_cfg, n_repeats):
         for r in range(n_repeats):
             per_probe = []
             for i, (m, init) in enumerate(zip(models, inits)):
-                seed = derive_seed(cfg.seed, SWEEP_UPDATE_BASE + k, i, r)
+                seed = derive_seed(cfg.seed, SWEEP_STREAM, SWEEP_UPDATE_BASE + k, i, r)
                 mean_grads = []
                 for phase_beta, tag in ((beta, NUDGED_PHASE), (0.0, FREE_PHASE)):
                     phase_cfg = cfg.with_seed(derive_seed(seed, tag))

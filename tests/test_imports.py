@@ -1,4 +1,5 @@
-"""Every import in the package source is used, and the base modules stay layered.
+"""Every import in the package source is used, the base modules stay layered,
+and MALA's random numbers have one draw path.
 
 No linter ships with the project, so this parses each module with ast and
 flags imported names that are never referenced.  A name listed in a
@@ -57,3 +58,12 @@ def package_imports(path: Path) -> set[str]:
 def test_base_modules_import_only_lower_layers(module, allowed):
     path = SOURCES[0].parent / f"{module}.py"
     assert package_imports(path) <= allowed
+
+
+def test_trainer_draws_no_random_numbers_itself():
+    """train.py leaves MALA's draws to sampler.block_draws: one draw path for both."""
+    tree = ast.parse((SOURCES[0].parent / "train.py").read_text())
+    draws = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("standard_normal", "random")]
+    assert draws == []

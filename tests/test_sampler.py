@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import thermoep.sampler as sampler_module
 from thermoep.core import EnergyModel, EvaluationError, kernel_batch
 from thermoep.models import (
     LayeredTanhEnergyNet,
@@ -277,9 +278,9 @@ class TestChainCount:
 
 
 class TestRunChainsStreamLayout:
-    def test_row_zero_replays_per_step_draws_by_hand(self):
+    def test_row_zero_replays_block_draws_by_hand(self):
         """Pins run_chains' layout: chain c's stream (seed, c) gives its init row,
-        then per step its noise and its accept uniform."""
+        then its n_steps accept uniforms as one block, then its noise."""
         model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 0.2])
         theta = np.array([1.3])
         cfg = standard_gaussian_config(n_steps=80, n_chains=4, burn_in=20, seed=6)
@@ -287,12 +288,28 @@ class TestRunChainsStreamLayout:
 
         g = make_generator(6, 0)
         init = g.standard_normal(3)[None, :]
+        uniforms = g.random(cfg.n_steps)
+        noise = g.standard_normal((cfg.n_steps, 3))
         kept, n_accept = langevin(
             model.free_kernel(theta, 0.5, init), init.copy(),
-            lambda step: (g.standard_normal(3)[None, :], np.array([g.random()])), cfg, 1.0,
+            lambda step: (noise[step : step + 1], uniforms[step : step + 1]), cfg, 1.0,
         )
         assert 0 < n_accept < cfg.n_steps
+        assert batch.init[:1].tobytes() == init.tobytes()
         assert kept[0].tobytes() == batch.free_samples[0].tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 80, 500])
+    def test_noise_chunk_moves_no_bit(self, monkeypatch, chunk):
+        """The noise chunk bounds a buffer, never the stream: 80 steps in chunks of 7
+        (a partial last chunk), of exactly 80, or of more than 80 give the same run."""
+        model = QuadraticEnergyModel(3, loss_vector=[1.0, -0.5, 0.2])
+        theta = np.array([1.3])
+        cfg = standard_gaussian_config(n_steps=80, n_chains=4, burn_in=20, seed=6)
+        ref = run_chains(model, theta, 0.5, 1.0, cfg)
+        monkeypatch.setattr(sampler_module, "_NOISE_CHUNK", chunk)
+        batch = run_chains(model, theta, 0.5, 1.0, cfg)
+        assert batch.free_samples.tobytes() == ref.free_samples.tobytes()
+        assert batch.acceptance_rate == ref.acceptance_rate
 
 
 class TestRunPhases:
@@ -425,8 +442,14 @@ class TestEffectiveSampleSize:
         assert effective_sample_size(np.array([1.0, 2.0])) == 2.0
 
 
-def reference_ess(series) -> float:
-    """The scalar, one-FFT-per-column ESS that column_ess batches."""
+def reference_ess(series, prefix=False) -> float:
+    """The scalar, one-FFT-per-column ESS that column_ess batches.
+
+    column_ess sums each column's whole row of pair sums with those from
+    the cutoff on masked to zero; prefix=True sums only the slice before
+    the cutoff instead, as column_ess's former per-column loop did.  The
+    two orders round differently.
+    """
     x = np.asarray(series, dtype=np.float64)
     k = x.size
     if k < 4:
@@ -443,8 +466,19 @@ def reference_ess(series) -> float:
     pair_sums = rho[0::2] + rho[1::2]
     positive = np.nonzero(pair_sums <= 0.0)[0]
     cutoff = positive[0] if positive.size else pair_sums.size
-    tau = max(-1.0 + 2.0 * float(pair_sums[:cutoff].sum()), 1.0 / k)
+    if prefix:
+        head = pair_sums[:cutoff].sum()
+    else:
+        head = np.where(np.arange(pair_sums.size) < cutoff, pair_sums, 0.0).sum()
+    tau = max(-1.0 + 2.0 * float(head), 1.0 / k)
     return float(k / tau)
+
+
+# column_ess's masked row sum reorders a float64 sum that the per-column
+# loop took over the prefix alone, so ESS may move by a few ulps: the
+# largest relative gap over 1,800 blocks of 24 AR(1) columns (k = 5 to 801)
+# was 4 eps.
+RTOL_ESS = 8 * np.finfo(np.float64).eps
 
 
 class TestColumnEss:
@@ -466,6 +500,23 @@ class TestColumnEss:
             assert effective_sample_size(block[:, j]) == expected
         if k >= 4:
             assert ess[5] == 1.0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 17, 200, 801, 1085])
+    def test_masked_cutoff_sum_is_the_per_column_loop_to_rounding(self, rng, k):
+        # AR(1) columns over a spread of phi, so the cutoffs differ from
+        # column to column, and a constant column
+        phi = np.linspace(0.0, 0.99, 24)
+        ar = rng.normal(size=(k, 24))
+        for i in range(1, k):
+            ar[i] += phi * ar[i - 1]
+        block = np.concatenate([ar, np.full((k, 1), -1.5)], axis=1)
+        ess = column_ess(block)
+        loop = np.array([reference_ess(block[:, j], prefix=True) for j in range(25)])
+        np.testing.assert_allclose(ess, loop, rtol=RTOL_ESS, atol=0.0)
+        if k < 4:
+            assert np.all(ess == k)
+        else:
+            assert ess[-1] == 1.0
 
 
 class TestRelaxation:

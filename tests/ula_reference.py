@@ -17,9 +17,10 @@ from thermoep.sampler import _init_rows, langevin
 def run_ula(model, theta, beta, temperature, config, init=None) -> np.ndarray:
     """Kept free block (chains x n_kept x free coordinates) of a ULA run.
 
-    Chain c draws from stream (config.seed, c) as run_chains does: its
-    init row when init is None, then one noise vector per step and no
-    accept uniform.
+    Chain c draws from stream (config.seed, c): its init row when init is
+    None, as run_chains does, then one noise vector per step and no accept
+    uniform (the layout of the removed unadjusted kernel, which the
+    fingerprints in test_sampler.py pin).
     """
     theta = model.validate_theta(theta)
     gens = [make_generator(config.seed, c) for c in range(config.n_chains)]
